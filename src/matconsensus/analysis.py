@@ -39,7 +39,7 @@ from .spectral import (
     null_space_basis,
     symmetric_eigen,
 )
-from .switching import IntegralNetwork, PeriodicSignal, Signal, integral_network
+from .switching import IntegralNetwork, SwitchingSignal, integral_network
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -54,7 +54,9 @@ class TransitionMatrix:
     matrix: NDArray[np.float64]
 
 
-def transition_matrix(signal: Signal, start: int, stop: int) -> TransitionMatrix:
+def transition_matrix(
+    signal: SwitchingSignal, start: int, stop: int
+) -> TransitionMatrix:
     """Ordered product ``exp(-L_{stop-1} dt_{stop-1}) ... exp(-L_start dt_start)``.
 
     Requires ``0 <= start < stop``; for finite signals ``stop`` must not
@@ -62,13 +64,6 @@ def transition_matrix(signal: Signal, start: int, stop: int) -> TransitionMatrix
     """
     if start >= stop:
         raise IndexOrderError(f"need start < stop, got ({start}, {stop})")
-    if start < 0:
-        raise IndexOutOfRangeError(f"segment index {start} must be non-negative")
-    count = signal.segment_count
-    if count is not None and stop > count:
-        raise IndexOutOfRangeError(
-            f"segment index {stop} exceeds segment count {count}"
-        )
     product = np.eye(signal.dims.stacked)
     for k in range(start, stop):
         product = signal.segment_exponential(k) @ product
@@ -241,18 +236,17 @@ class Verdict:
     horizon: int | None = None
 
 
-def _check_horizon(signal: Signal, horizon: int) -> None:
+def _check_horizon(signal: SwitchingSignal, horizon: int) -> None:
     if horizon < 1:
         raise IndexOutOfRangeError(f"horizon must be at least 1, got {horizon}")
-    count = signal.segment_count
-    if count is not None and horizon > count:
+    if not signal.periodic and horizon > signal.partitions:
         raise IndexOutOfRangeError(
-            f"horizon {horizon} exceeds segment count {count}"
+            f"horizon {horizon} exceeds segment count {signal.partitions}"
         )
 
 
 def segment_laplacian_sum(
-    signal: Signal, start: int, stop: int
+    signal: SwitchingSignal, start: int, stop: int
 ) -> NDArray[np.float64]:
     """Unweighted sum of the segment Laplacians over ``start .. stop - 1``.
 
@@ -278,7 +272,7 @@ def _window_closes(
 
 
 def _greedy_windows(
-    signal: Signal, horizon: int, tolerances: Tolerances
+    signal: SwitchingSignal, horizon: int, tolerances: Tolerances
 ) -> tuple[list[tuple[int, int]], tuple[int, NDArray[np.float64]] | None]:
     """Greedily tile segments ``0 .. horizon - 1`` with minimal closed
     windows.
@@ -321,16 +315,19 @@ def _obstruction_witness(
     return witness
 
 
-def _window_value(signal: Signal, start: int, stop: int) -> Window:
+def _window_value(
+    signal: SwitchingSignal, start: int, stop: int, mu_next: float | None = None
+) -> Window:
     return Window(
         start=start,
         stop=stop,
         span=(signal.switch_time(start), signal.switch_time(stop)),
+        mu_next=mu_next,
     )
 
 
 def periodic_consensus_verdict(
-    signal: PeriodicSignal, tolerances: Tolerances = DEFAULT_TOLERANCES
+    signal: SwitchingSignal, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> Verdict:
     """Exact consensus decision for a periodic signal.
 
@@ -341,7 +338,7 @@ def periodic_consensus_verdict(
     positive-definite averaged edges; on failure it carries a unit blocking
     direction that every segment Laplacian annihilates.
     """
-    if not isinstance(signal, PeriodicSignal):
+    if not signal.periodic:
         raise InvalidSignalError(
             "periodic_consensus_verdict requires a periodic signal"
         )
@@ -364,7 +361,7 @@ def periodic_consensus_verdict(
 
 
 def necessary_condition_scan(
-    signal: Signal, horizon: int, tolerances: Tolerances = DEFAULT_TOLERANCES
+    signal: SwitchingSignal, horizon: int, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> Verdict:
     """Scan the first ``horizon`` segments for the necessary condition.
 
@@ -398,7 +395,7 @@ def necessary_condition_scan(
 
 
 def sufficient_condition_certificate(
-    signal: Signal,
+    signal: SwitchingSignal,
     horizon: int,
     q_threshold: float,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -423,14 +420,7 @@ def sufficient_condition_certificate(
     for start, stop in windows:
         phi = transition_matrix(signal, start, stop)
         factor = contraction_factor(phi, signal.dims, tolerances)
-        measured.append(
-            Window(
-                start=start,
-                stop=stop,
-                span=(signal.switch_time(start), signal.switch_time(stop)),
-                mu_next=factor.mu_next,
-            )
-        )
+        measured.append(_window_value(signal, start, stop, factor.mu_next))
     tiles = open_suffix is None and bool(measured) and measured[-1].stop == horizon
     uniform = all(w.mu_next is not None and w.mu_next <= q_threshold for w in measured)
     if tiles and uniform:

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    base = scenario.signal.base if scenario.periodic else scenario.signal
+    signal = scenario.signal
     print(f"OK dimensions: n={scenario.dims.n}, d={scenario.dims.d}")
     edge_counts = ", ".join(
         "{} ({} edge{})".format(
@@ -140,13 +140,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
     print(f"OK graphs: {edge_counts}")
     print(
-        f"OK dwell bounds: {base.segment_count} segments within "
-        f"[{base.alpha!r}, {base.beta!r}]"
+        f"OK dwell bounds: {signal.partitions} segments within "
+        f"[{signal.alpha!r}, {signal.beta!r}]"
     )
-    if scenario.periodic:
+    if signal.periodic:
         print(
-            f"OK periodic: {base.segment_count} segments per period, "
-            f"period {scenario.signal.period!r}"
+            f"OK periodic: {signal.partitions} segments per period, "
+            f"period {signal.period!r}"
         )
     print("scenario valid")
     return 0
@@ -231,13 +231,12 @@ def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any
             "equals_consensus": null.equals_consensus,
         }
 
+    signal = scenario.signal
     if args.span is not None:
         span = (float(args.span[0]), float(args.span[1]))
-    elif scenario.periodic:
-        span = (0.0, scenario.signal.period)
     else:
-        span = (0.0, scenario.signal.total_duration)
-    network = integral_network(scenario.signal, span[0], span[1], tolerances)
+        span = (0.0, signal.period)  # one period, or the whole finite signal
+    network = integral_network(signal, span[0], span[1], tolerances)
     null = null_space_basis(network.avg_laplacian, scenario.dims, tolerances)
     has_tree, tree_edges = positive_spanning_tree(network)
     integral_doc = {
@@ -259,22 +258,22 @@ def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any
     }
 
     verdicts: dict[str, Any] = {}
-    if scenario.periodic:
+    if signal.periodic:
         verdicts["periodic"] = _verdict_to_dict(
-            periodic_consensus_verdict(scenario.signal, tolerances)
+            periodic_consensus_verdict(signal, tolerances)
         )
     horizon = args.horizon if args.horizon is not None else scenario.run.horizon
-    if horizon is None and not scenario.periodic:
-        horizon = scenario.signal.segment_count
+    if horizon is None and not signal.periodic:
+        horizon = signal.partitions
     if horizon is not None:
         q = args.q if args.q is not None else scenario.run.q_threshold
         if q is None:
             q = DEFAULT_Q_THRESHOLD
         verdicts["necessary_scan"] = _verdict_to_dict(
-            necessary_condition_scan(scenario.signal, horizon, tolerances)
+            necessary_condition_scan(signal, horizon, tolerances)
         )
         verdicts["sufficient_certificate"] = _verdict_to_dict(
-            sufficient_condition_certificate(scenario.signal, horizon, q, tolerances)
+            sufficient_condition_certificate(signal, horizon, q, tolerances)
         )
 
     return {

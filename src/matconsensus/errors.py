@@ -39,10 +39,6 @@ class NegativeDurationError(ModelError):
     """A time duration must be non-negative."""
 
 
-class NotEigenvectorsError(ModelError):
-    """Supplied vectors are not orthonormal eigenvectors of the matrix."""
-
-
 # -- switching signals ------------------------------------------------------
 
 class EmptySignalError(ModelError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -80,13 +80,6 @@ class MatrixWeightedGraph:
     def weight(self, i: int, j: int) -> WeightMatrix:
         return self.edges[_ordered(i, j)]
 
-    def neighbors(self, i: int) -> Iterator[int]:
-        for a, b in self.edges:
-            if a == i:
-                yield b
-            elif b == i:
-                yield a
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -103,10 +96,6 @@ class BlockLaplacian:
 
     dims: GraphDimensions
     matrix: NDArray[np.float64]
-
-    def block(self, i: int, j: int) -> NDArray[np.float64]:
-        d = self.dims.d
-        return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
 
 def _ordered(i: int, j: int) -> Edge:

@@ -40,7 +40,7 @@ from numpy.typing import NDArray
 
 from .errors import ModelError
 from .graphs import GraphDimensions, MatrixWeightedGraph, new_graph, set_edge
-from .switching import PeriodicSignal, Signal, SwitchingSignal
+from .switching import SwitchingSignal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -71,14 +71,10 @@ class Scenario:
     dims: GraphDimensions
     graph_names: tuple[str, ...]
     graphs: Mapping[str, MatrixWeightedGraph]
-    signal: Signal
+    signal: SwitchingSignal
     initial_state: NDArray[np.float64] | None
     run: RunSettings
     tolerances: Tolerances
-
-    @property
-    def periodic(self) -> bool:
-        return isinstance(self.signal, PeriodicSignal)
 
 
 def _expect(value: Any, kind: type, path: str, what: str) -> Any:
@@ -224,11 +220,9 @@ def parse_scenario(data: dict) -> Scenario:
         )
         segments.append((names.index(gname), dwell))
     try:
-        signal: Signal = SwitchingSignal(
-            [graphs[name] for name in names], segments, alpha, beta
+        signal = SwitchingSignal(
+            [graphs[name] for name in names], segments, alpha, beta, periodic
         )
-        if periodic:
-            signal = PeriodicSignal(signal, signal.total_duration)
     except ModelError as error:
         raise _contextualize(error, "signal") from error
 
@@ -312,7 +306,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     Edges are emitted in sorted node order with flat row-major weights, so
     the output is deterministic and re-parses to an equivalent scenario.
     """
-    base = scenario.signal.base if scenario.periodic else scenario.signal
+    signal = scenario.signal
     doc: dict[str, Any] = {
         "dimensions": {"n": scenario.dims.n, "d": scenario.dims.d},
         "graphs": {
@@ -329,11 +323,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "signal": {
             "segments": [
                 {"graph": scenario.graph_names[g], "dwell": dt}
-                for g, dt in base.segments
+                for g, dt in signal.segments
             ],
-            "periodic": scenario.periodic,
-            "alpha": base.alpha,
-            "beta": base.beta,
+            "periodic": signal.periodic,
+            "alpha": signal.alpha,
+            "beta": signal.beta,
         },
     }
     if scenario.initial_state is not None:

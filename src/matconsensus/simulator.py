@@ -21,9 +21,8 @@ from .errors import (
     NegativeDurationError,
     TimeOutOfRangeError,
 )
-from .graphs import BlockLaplacian, GraphDimensions
-from .spectral import matrix_exponential_symmetric
-from .switching import Signal
+from .graphs import GraphDimensions
+from .switching import SwitchingSignal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -51,22 +50,6 @@ def average_consensus_point(
     state = _stacked_state(x0, dims)
     mean = state.reshape(dims.n, dims.d).mean(axis=0)
     return np.tile(mean, dims.n)
-
-
-def propagate_segment(
-    state: NDArray[np.float64],
-    lap: BlockLaplacian | NDArray[np.float64],
-    dt: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> NDArray[np.float64]:
-    """Evolve ``state`` under a constant Laplacian for ``dt`` time units."""
-    matrix = lap.matrix if isinstance(lap, BlockLaplacian) else np.asarray(lap, float)
-    state = np.asarray(state, dtype=float)
-    if state.shape != (matrix.shape[0],):
-        raise DimensionMismatchError(
-            f"state of length {matrix.shape[0]} expected, got shape {state.shape}"
-        )
-    return matrix_exponential_symmetric(matrix, dt, tolerances) @ state
 
 
 @dataclass(frozen=True)
@@ -102,21 +85,8 @@ class Trajectory:
     def final_time(self) -> float:
         return float(self.times[-1])
 
-    def node_states(self, i: int) -> NDArray[np.float64]:
-        """All samples of node ``i`` as an ``(len(times), d)`` array."""
-        d = self.dims.d
-        return self.states[:, i * d : (i + 1) * d]
 
-
-def disagreement_trace(trajectory: Trajectory) -> list[tuple[float, float]]:
-    """``(t, V(t))`` pairs where ``V`` is the squared disagreement norm."""
-    return [
-        (float(t), float(v))
-        for t, v in zip(trajectory.times, trajectory.lyapunov)
-    ]
-
-
-def _check_horizon_time(signal: Signal, t_end: float) -> None:
+def _check_horizon_time(signal: SwitchingSignal, t_end: float) -> None:
     if not t_end > 0:
         raise TimeOutOfRangeError(f"t_end must be positive, got {t_end}")
     if t_end > signal.total_duration:
@@ -126,7 +96,7 @@ def _check_horizon_time(signal: Signal, t_end: float) -> None:
 
 
 def _states_at(
-    signal: Signal, x0: NDArray[np.float64], times: NDArray[np.float64]
+    signal: SwitchingSignal, x0: NDArray[np.float64], times: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Exact states at the given ascending times.
 
@@ -136,12 +106,11 @@ def _states_at(
     """
     states = np.empty((len(times), x0.shape[0]))
     current = x0.copy()
-    count = signal.segment_count
     k = 0
     seg_start = 0.0
     i = 0
     while i < len(times):
-        if count is not None and k >= count:
+        if not signal.periodic and k >= signal.partitions:
             states[i] = current
             i += 1
             continue
@@ -161,12 +130,14 @@ def _states_at(
     return states
 
 
-def _sample_times(signal: Signal, t_end: float, sample_dt: float) -> NDArray[np.float64]:
+def _sample_times(
+    signal: SwitchingSignal, t_end: float, sample_dt: float
+) -> NDArray[np.float64]:
     count = int(math.floor(t_end / sample_dt + 1e-9))
     ticks = {k * sample_dt for k in range(count + 1)}
     ticks.add(float(t_end))
     k = 1
-    while signal.segment_count is None or k <= signal.segment_count:
+    while signal.periodic or k <= signal.partitions:
         t = signal.switch_time(k)
         if t >= t_end:
             break
@@ -176,7 +147,7 @@ def _sample_times(signal: Signal, t_end: float, sample_dt: float) -> NDArray[np.
 
 
 def simulate(
-    signal: Signal,
+    signal: SwitchingSignal,
     x0: NDArray[np.float64],
     t_end: float,
     sample_dt: float,
@@ -213,7 +184,7 @@ def _rk4_step(
 
 
 def rk4_reference(
-    signal: Signal, x0: NDArray[np.float64], t_end: float, step: float
+    signal: SwitchingSignal, x0: NDArray[np.float64], t_end: float, step: float
 ) -> Trajectory:
     """Integrate the switched dynamics with classical fixed-step Runge-Kutta.
 
@@ -248,7 +219,7 @@ def rk4_reference(
             states.append(current)
         seg_start = seg_end
         k += 1
-        if signal.segment_count is not None and k >= signal.segment_count:
+        if not signal.periodic and k >= signal.partitions:
             break
 
     return Trajectory(
@@ -260,7 +231,7 @@ def rk4_reference(
 
 
 def max_oracle_deviation(
-    signal: Signal, x0: NDArray[np.float64], t_end: float, step: float
+    signal: SwitchingSignal, x0: NDArray[np.float64], t_end: float, step: float
 ) -> float:
     """Largest entrywise gap between exact propagation and the Runge-Kutta
     reference, taken over all reference nodes in ``[0, t_end]``."""

@@ -18,7 +18,6 @@ from numpy.typing import NDArray
 
 from .errors import (
     NegativeDurationError,
-    NotEigenvectorsError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
 )
@@ -43,14 +42,6 @@ class SpectrumReport:
 
     eigenvalues: NDArray[np.float64]
     eigenvectors: NDArray[np.float64]
-
-    @property
-    def smallest(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def largest(self) -> float:
-        return float(self.eigenvalues[-1])
 
 
 @dataclass(frozen=True)
@@ -199,6 +190,18 @@ def null_space_basis(
     )
 
 
+def eigen_exponential(
+    values: NDArray[np.float64], vectors: NDArray[np.float64], t: float
+) -> NDArray[np.float64]:
+    """``exp(-M t)`` from the eigensystem ``M = V diag(values) V^T``.
+
+    The result is explicitly symmetrised so that downstream symmetric
+    products remain symmetric to machine precision.
+    """
+    result = (vectors * np.exp(-values * t)) @ vectors.T
+    return (result + result.T) / 2.0
+
+
 def matrix_exponential_symmetric(
     matrix: NDArray[np.float64],
     t: float,
@@ -206,9 +209,7 @@ def matrix_exponential_symmetric(
 ) -> NDArray[np.float64]:
     """Compute ``exp(-M t)`` for a symmetric ``M`` via eigendecomposition.
 
-    The result is explicitly symmetrised so that downstream symmetric
-    products remain symmetric to machine precision.  ``t`` must be
-    non-negative.
+    ``t`` must be non-negative; see :func:`eigen_exponential`.
     """
     if t < 0:
         raise NegativeDurationError(f"duration must be non-negative, got {t}")
@@ -217,42 +218,5 @@ def matrix_exponential_symmetric(
         require_symmetric(matrix, tolerances.symmetry)
         return np.eye(matrix.shape[0])
     report = symmetric_eigen(matrix, tolerances)
-    decay = np.exp(-report.eigenvalues * t)
-    result = (report.eigenvectors * decay) @ report.eigenvectors.T
-    return (result + result.T) / 2.0
+    return eigen_exponential(report.eigenvalues, report.eigenvectors, t)
 
-
-def rayleigh_extremes(
-    matrix: NDArray[np.float64],
-    vectors: NDArray[np.float64],
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[float, float]:
-    """Smallest and largest Rayleigh quotients of ``matrix`` over the given
-    orthonormal eigenvector columns.
-
-    Raises :class:`NotEigenvectorsError` if the columns are not orthonormal
-    eigenvectors of ``matrix`` within tolerance.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    require_symmetric(matrix, tolerances.symmetry)
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2 or vectors.shape[0] != matrix.shape[0]:
-        raise NotEigenvectorsError(
-            f"vector columns of length {matrix.shape[0]} expected, "
-            f"got shape {vectors.shape}"
-        )
-    gram_defect = float(
-        np.max(np.abs(vectors.T @ vectors - np.eye(vectors.shape[1])), initial=0.0)
-    )
-    if gram_defect > tolerances.eigenvector_residual:
-        raise NotEigenvectorsError(
-            f"columns are not orthonormal: gram defect {gram_defect:.3e}"
-        )
-    quotients = np.einsum("ij,ij->j", vectors, matrix @ vectors)
-    residual = matrix @ vectors - vectors * quotients
-    worst = float(np.max(np.abs(residual), initial=0.0))
-    if worst > tolerances.eigenvector_residual * _scale(matrix):
-        raise NotEigenvectorsError(
-            f"columns are not eigenvectors: residual {worst:.3e}"
-        )
-    return float(np.min(quotients)), float(np.max(quotients))

@@ -5,8 +5,8 @@ A switching signal is a sequence of segments ``(graph_index, dwell)``: the
 network topology is ``graphs[graph_index]`` for ``dwell`` time units, then
 switches instantaneously.  Dwell durations are constrained to a configured
 interval ``[alpha, beta]`` with ``0 < alpha <= beta``.  A periodic signal
-repeats a finite base signal forever; it must contain more than two segments
-per period.
+repeats its segments forever; it must contain more than two segments per
+period.
 
 Switch instants are tracked exactly as :class:`fractions.Fraction` values so
 that span bookkeeping (segment lookup, overlap quadrature for the averaged
@@ -35,19 +35,19 @@ from .errors import (
     TimeOutOfRangeError,
     TooFewPartitionsError,
 )
-from .graphs import (
-    BlockLaplacian,
-    Edge,
-    GraphDimensions,
-    MatrixWeightedGraph,
-    laplacian,
+from .graphs import Edge, GraphDimensions, MatrixWeightedGraph, laplacian
+from .spectral import (
+    Definiteness,
+    classify_definiteness,
+    eigen_exponential,
+    symmetric_eigen,
 )
-from .spectral import Definiteness, classify_definiteness, symmetric_eigen
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 class SwitchingSignal:
-    """A finite sequence of graph segments with dwell-time bounds.
+    """A sequence of graph segments with dwell-time bounds, finite or
+    repeated forever.
 
     Parameters
     ----------
@@ -59,9 +59,13 @@ class SwitchingSignal:
     alpha, beta:
         Dwell-time bounds; every dwell must satisfy
         ``alpha <= dwell <= beta`` with ``0 < alpha <= beta``.
-    """
+    periodic:
+        Repeat the segments forever.  The period is the dwell sum, and a
+        period needs more than two segments.
 
-    is_periodic = False
+    Segment indices are global: segment ``k`` of a periodic signal is
+    segment ``k mod m`` of the list, shifted by ``floor(k / m)`` periods.
+    """
 
     def __init__(
         self,
@@ -69,6 +73,7 @@ class SwitchingSignal:
         segments: Sequence[tuple[int, float]],
         alpha: float,
         beta: float,
+        periodic: bool = False,
     ) -> None:
         graphs = tuple(graphs)
         if not graphs:
@@ -97,17 +102,26 @@ class SwitchingSignal:
                 raise DwellOutOfBoundsError(
                     f"segment {k} dwell {dt} outside [{alpha}, {beta}]"
                 )
+        if periodic and len(segments) <= 2:
+            raise TooFewPartitionsError(
+                "a periodic signal needs more than two segments per period, "
+                f"got {len(segments)}"
+            )
 
         self.dims: GraphDimensions = dims
         self.graphs = graphs
         self.segments = segments
         self.alpha = float(alpha)
         self.beta = float(beta)
+        self.periodic = bool(periodic)
 
         times = [Fraction(0)]
         for _, dt in segments:
             times.append(times[-1] + Fraction(dt))
         self._times: tuple[Fraction, ...] = tuple(times)
+        # duration of one pass through the segments
+        self.period_exact: Fraction = times[-1]
+        self.period: float = float(times[-1])
 
         self._laplacians: dict[int, NDArray[np.float64]] = {}
         self._eigensystems: dict[int, tuple[NDArray, NDArray]] = {}
@@ -116,36 +130,44 @@ class SwitchingSignal:
     # -- structure ----------------------------------------------------------
 
     @property
-    def segment_count(self) -> int:
+    def partitions(self) -> int:
+        """Number of segments in one pass (per period, if periodic)."""
         return len(self.segments)
 
     @property
-    def total_duration(self) -> float:
-        return float(self._times[-1])
+    def segment_count(self) -> int | None:
+        """Number of segments; ``None`` for a periodic signal."""
+        return None if self.periodic else len(self.segments)
 
-    def _check_segment(self, k: int) -> int:
-        if not (0 <= k < len(self.segments)):
+    @property
+    def total_duration(self) -> float:
+        return math.inf if self.periodic else self.period
+
+    def _locate(self, k: int) -> tuple[int, int]:
+        """``(cycle, index)`` of global segment ``k`` in the segment list."""
+        m = len(self.segments)
+        if k < 0 or (k >= m and not self.periodic):
             raise IndexOutOfRangeError(
-                f"segment index {k} outside [0, {len(self.segments)})"
+                f"segment index {k} outside [0, {'inf' if self.periodic else m})"
             )
-        return k
+        return divmod(k, m)
 
     def switch_time_exact(self, k: int) -> Fraction:
-        """Exact switch instant ``t_k`` (``k`` ranges over ``0..m``)."""
-        if not (0 <= k <= len(self.segments)):
-            raise IndexOutOfRangeError(
-                f"switch index {k} outside [0, {len(self.segments)}]"
-            )
-        return self._times[k]
+        """Exact switch instant ``t_k``, the start of segment ``k``; a finite
+        signal also has ``t_m``, its end."""
+        if k == len(self.segments) and not self.periodic:
+            return self._times[k]
+        cycle, index = self._locate(k)
+        return cycle * self.period_exact + self._times[index]
 
     def switch_time(self, k: int) -> float:
         return float(self.switch_time_exact(k))
 
     def segment_graph_index(self, k: int) -> int:
-        return self.segments[self._check_segment(k)][0]
+        return self.segments[self._locate(k)[1]][0]
 
     def segment_dwell(self, k: int) -> float:
-        return self.segments[self._check_segment(k)][1]
+        return self.segments[self._locate(k)[1]][1]
 
     def segment_graph(self, k: int) -> MatrixWeightedGraph:
         return self.graphs[self.segment_graph_index(k)]
@@ -153,16 +175,17 @@ class SwitchingSignal:
     def segment_index_at(self, t: float) -> int:
         """Index of the segment active at time ``t`` (``t_k <= t < t_k+1``)."""
         tf = Fraction(float(t))
-        if tf < 0 or tf >= self._times[-1]:
+        if tf < 0 or (not self.periodic and tf >= self.period_exact):
             raise TimeOutOfRangeError(
                 f"time {t} outside [0, {self.total_duration})"
             )
-        return bisect_right(self._times, tf) - 1
+        cycle, rest = divmod(tf, self.period_exact)
+        return int(cycle) * len(self.segments) + bisect_right(self._times, rest) - 1
 
     # -- cached per-segment numerics -----------------------------------------
 
     def segment_laplacian(self, k: int) -> NDArray[np.float64]:
-        g = self.segment_graph_index(self._check_segment(k))
+        g = self.segment_graph_index(k)
         cached = self._laplacians.get(g)
         if cached is None:
             cached = laplacian(self.graphs[g]).matrix
@@ -172,147 +195,25 @@ class SwitchingSignal:
     def segment_eigensystem(self, k: int) -> tuple[NDArray, NDArray]:
         """Eigenvalues and eigenvectors of the segment's Laplacian, cached
         per distinct graph."""
-        g = self.segment_graph_index(self._check_segment(k))
+        g = self.segment_graph_index(k)
         cached = self._eigensystems.get(g)
         if cached is None:
-            report = symmetric_eigen(self._fetch_laplacian(g))
+            report = symmetric_eigen(self.segment_laplacian(k))
             cached = (report.eigenvalues, report.eigenvectors)
             self._eigensystems[g] = cached
-        return cached
-
-    def _fetch_laplacian(self, g: int) -> NDArray[np.float64]:
-        cached = self._laplacians.get(g)
-        if cached is None:
-            cached = laplacian(self.graphs[g]).matrix
-            self._laplacians[g] = cached
         return cached
 
     def segment_exponential(self, k: int) -> NDArray[np.float64]:
         """``exp(-L_k * dwell_k)`` for segment ``k``, cached per
         ``(graph, dwell)`` pair."""
-        k = self._check_segment(k)
-        g, dt = self.segments[k]
-        key = (g, dt)
+        key = self.segments[self._locate(k)[1]]  # (graph, dwell)
         cached = self._exponentials.get(key)
         if cached is None:
             values, vectors = self.segment_eigensystem(k)
-            decay = np.exp(-values * dt)
-            result = (vectors * decay) @ vectors.T
-            cached = (result + result.T) / 2.0
+            cached = eigen_exponential(values, vectors, key[1])
             cached.setflags(write=False)
             self._exponentials[key] = cached
         return cached
-
-
-class PeriodicSignal:
-    """A switching signal that repeats a finite base signal with period equal
-    to the base signal's total duration.
-
-    Segment indices are global: segment ``k`` of the periodic signal is
-    segment ``k mod m`` of the base, shifted by ``floor(k / m)`` periods.
-    """
-
-    is_periodic = True
-
-    def __init__(self, base: SwitchingSignal, period: float) -> None:
-        if base.segment_count <= 2:
-            raise TooFewPartitionsError(
-                "a periodic signal needs more than two segments per period, "
-                f"got {base.segment_count}"
-            )
-        exact = base.switch_time_exact(base.segment_count)
-        if not (period > 0) or abs(float(exact) - period) > 1e-9 * max(1.0, period):
-            raise PeriodMismatchError(
-                f"segment dwells sum to {float(exact)}, "
-                f"which does not match the declared period {period}"
-            )
-        self.base = base
-        self.period_exact: Fraction = exact
-        self.period: float = float(exact)
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def dims(self) -> GraphDimensions:
-        return self.base.dims
-
-    @property
-    def graphs(self) -> tuple[MatrixWeightedGraph, ...]:
-        return self.base.graphs
-
-    @property
-    def alpha(self) -> float:
-        return self.base.alpha
-
-    @property
-    def beta(self) -> float:
-        return self.base.beta
-
-    @property
-    def partitions(self) -> int:
-        """Number of segments per period."""
-        return self.base.segment_count
-
-    @property
-    def segment_count(self) -> None:
-        """Periodic signals have unboundedly many segments."""
-        return None
-
-    @property
-    def total_duration(self) -> float:
-        return math.inf
-
-    def _split(self, k: int) -> tuple[int, int]:
-        if k < 0:
-            raise IndexOutOfRangeError(f"segment index {k} must be non-negative")
-        return divmod(k, self.partitions)
-
-    def switch_time_exact(self, k: int) -> Fraction:
-        cycles, rest = self._split(k)
-        return cycles * self.period_exact + self.base.switch_time_exact(rest)
-
-    def switch_time(self, k: int) -> float:
-        return float(self.switch_time_exact(k))
-
-    def segment_graph_index(self, k: int) -> int:
-        return self.base.segment_graph_index(self._split(k)[1])
-
-    def segment_dwell(self, k: int) -> float:
-        return self.base.segment_dwell(self._split(k)[1])
-
-    def segment_graph(self, k: int) -> MatrixWeightedGraph:
-        return self.base.segment_graph(self._split(k)[1])
-
-    def segment_laplacian(self, k: int) -> NDArray[np.float64]:
-        return self.base.segment_laplacian(self._split(k)[1])
-
-    def segment_eigensystem(self, k: int) -> tuple[NDArray, NDArray]:
-        return self.base.segment_eigensystem(self._split(k)[1])
-
-    def segment_exponential(self, k: int) -> NDArray[np.float64]:
-        return self.base.segment_exponential(self._split(k)[1])
-
-    def segment_index_at(self, t: float) -> int:
-        tf = Fraction(float(t))
-        if tf < 0:
-            raise TimeOutOfRangeError(f"time {t} must be non-negative")
-        cycles = tf // self.period_exact
-        rest = tf - cycles * self.period_exact
-        sub = bisect_right(self.base._times, rest) - 1
-        return int(cycles) * self.partitions + sub
-
-
-Signal = SwitchingSignal | PeriodicSignal
-
-
-def build_switching_signal(
-    graphs: Sequence[MatrixWeightedGraph],
-    segments: Sequence[tuple[int, float]],
-    alpha: float,
-    beta: float,
-) -> SwitchingSignal:
-    """Validate and build a finite switching signal."""
-    return SwitchingSignal(graphs, segments, alpha, beta)
 
 
 def build_periodic_signal(
@@ -321,22 +222,19 @@ def build_periodic_signal(
     period: float,
     alpha: float,
     beta: float,
-) -> PeriodicSignal:
+) -> SwitchingSignal:
     """Validate and build a periodic switching signal.
 
     The dwell durations must sum to ``period`` (within 1e-9 relative), and
     there must be more than two segments per period.
     """
-    return PeriodicSignal(SwitchingSignal(graphs, segments, alpha, beta), period)
-
-
-def graph_at(signal: Signal, t: float) -> MatrixWeightedGraph:
-    """The graph active at time ``t``.
-
-    Finite signals are defined on ``[0, total_duration)``; periodic signals
-    wrap ``t`` modulo the period.
-    """
-    return signal.segment_graph(signal.segment_index_at(t))
+    signal = SwitchingSignal(graphs, segments, alpha, beta, periodic=True)
+    if not (period > 0) or abs(signal.period - period) > 1e-9 * max(1.0, period):
+        raise PeriodMismatchError(
+            f"segment dwells sum to {signal.period}, "
+            f"which does not match the declared period {period}"
+        )
+    return signal
 
 
 @dataclass(frozen=True)
@@ -369,7 +267,7 @@ class IntegralNetwork:
 
 
 def integral_network(
-    signal: Signal,
+    signal: SwitchingSignal,
     t_start: float,
     t_end: float,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -386,8 +284,8 @@ def integral_network(
         raise TimeOutOfRangeError(f"span start {t_start} must be non-negative")
     if end <= start:
         raise EmptySpanError(f"span [{t_start}, {t_end}) is empty")
-    if not signal.is_periodic:
-        total = signal.switch_time_exact(signal.segment_count)
+    if not signal.periodic:
+        total = signal.period_exact
         if end > total:
             # the float image of an exact switch instant may round half an
             # ulp past it; treat such spans as ending exactly at the end
@@ -418,7 +316,7 @@ def integral_network(
                     blocks[pair] = weight * edge_weight.entries
             avg_lap = avg_lap + weight * signal.segment_laplacian(k)
         k += 1
-        if not signal.is_periodic and k >= signal.segment_count:
+        if not signal.periodic and k >= signal.partitions:
             break
 
     edges: dict[Edge, Definiteness] = {}
@@ -437,7 +335,3 @@ def integral_network(
         avg_laplacian=avg_lap,
     )
 
-
-def integral_laplacian(network: IntegralNetwork) -> BlockLaplacian:
-    """The averaged Laplacian as a :class:`BlockLaplacian` value."""
-    return BlockLaplacian(dims=network.dims, matrix=network.avg_laplacian)

@@ -14,7 +14,6 @@ import pytest
 from matconsensus import (
     DEFAULT_TOLERANCES,
     GraphDimensions,
-    PeriodicSignal,
     SwitchingSignal,
     build_periodic_signal,
     integral_network,
@@ -95,12 +94,21 @@ def demo_graphs(dims4x2):
     return g_line, g_star, g_link
 
 
+DEMO_SEGMENTS = [(0, 2.0), (1, 3.0), (2, 1.0)]
+
+
 @pytest.fixture(scope="session")
-def demo_signal(demo_graphs) -> PeriodicSignal:
+def demo_signal(demo_graphs) -> SwitchingSignal:
     """Periodic schedule: first graph for 2, second for 3, third for 1."""
     return build_periodic_signal(
-        demo_graphs, [(0, 2.0), (1, 3.0), (2, 1.0)], period=6.0, alpha=0.5, beta=4.0
+        demo_graphs, DEMO_SEGMENTS, period=6.0, alpha=0.5, beta=4.0
     )
+
+
+@pytest.fixture(scope="session")
+def demo_finite_signal(demo_graphs) -> SwitchingSignal:
+    """One pass of the demo schedule, ending at t = 6."""
+    return SwitchingSignal(demo_graphs, DEMO_SEGMENTS, alpha=0.5, beta=4.0)
 
 
 @pytest.fixture(scope="session")

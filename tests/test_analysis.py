@@ -13,9 +13,9 @@ from matconsensus import (
     NullSpaceMatch,
     NullSpaceObstruction,
     PositiveSpanningTree,
+    SwitchingSignal,
     UniformContraction,
     build_periodic_signal,
-    build_switching_signal,
     consensus_subspace,
     contraction_factor,
     integral_network,
@@ -50,7 +50,7 @@ def test_transition_matrix_single_segment(demo_signal):
     assert np.max(np.abs(phi.matrix - expected)) <= 1e-12
 
 
-def test_transition_matrix_order_and_bounds(demo_signal):
+def test_transition_matrix_order_and_bounds(demo_signal, demo_finite_signal):
     phi = transition_matrix(demo_signal, 0, 3)
     expected = (
         scipy.linalg.expm(-1.0 * demo_signal.segment_laplacian(2))
@@ -63,7 +63,7 @@ def test_transition_matrix_order_and_bounds(demo_signal):
     with pytest.raises(IndexOutOfRangeError):
         transition_matrix(demo_signal, -1, 2)
     with pytest.raises(IndexOutOfRangeError):
-        transition_matrix(demo_signal.base, 0, 4)
+        transition_matrix(demo_finite_signal, 0, 4)
 
 
 def test_transition_fixes_consensus_and_never_expands(demo_signal, dims4x2):
@@ -96,7 +96,7 @@ def test_contraction_factor_spectral_mapping():
     with lambda the smallest nonzero Laplacian eigenvalue."""
     dims = GraphDimensions(n=2, d=2)
     graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
-    signal = build_switching_signal([graph], [(0, 1.5)], alpha=1.0, beta=2.0)
+    signal = SwitchingSignal([graph], [(0, 1.5)], alpha=1.0, beta=2.0)
     lap_eigs = np.linalg.eigvalsh(laplacian(graph).matrix)
     report = contraction_factor(transition_matrix(signal, 0, 1), dims)
     assert report.mu_next == pytest.approx(np.exp(-2.0 * 1.5 * lap_eigs[2]), rel=1e-12)
@@ -147,9 +147,9 @@ def test_periodic_verdict_consensus(demo_signal):
     assert tree.edges == ((0, 1), (1, 2), (1, 3))
 
 
-def test_periodic_verdict_requires_periodic_signal(demo_signal):
+def test_periodic_verdict_requires_periodic_signal(demo_finite_signal):
     with pytest.raises(InvalidSignalError):
-        periodic_consensus_verdict(demo_signal.base)
+        periodic_consensus_verdict(demo_finite_signal)
 
 
 def test_periodic_verdict_no_consensus_witness(demo_graphs, dims4x2):
@@ -210,7 +210,7 @@ def test_necessary_scan_open_suffix(demo_signal, dims4x2):
 
 
 def test_necessary_scan_never_closing(demo_graphs):
-    signal = build_switching_signal(
+    signal = SwitchingSignal(
         [demo_graphs[0]], [(0, 1.0), (0, 1.0), (0, 1.0)], alpha=0.5, beta=4.0
     )
     verdict = necessary_condition_scan(signal, 3)
@@ -219,11 +219,11 @@ def test_necessary_scan_never_closing(demo_graphs):
     assert _cert(verdict, HorizonExhausted).windows == ()
 
 
-def test_necessary_scan_horizon_validation(demo_signal):
+def test_necessary_scan_horizon_validation(demo_signal, demo_finite_signal):
     with pytest.raises(IndexOutOfRangeError):
         necessary_condition_scan(demo_signal, 0)
     with pytest.raises(IndexOutOfRangeError):
-        necessary_condition_scan(demo_signal.base, 5)
+        necessary_condition_scan(demo_finite_signal, 5)
 
 
 def test_sufficient_certificate_consensus(demo_signal):
@@ -258,7 +258,7 @@ def test_sufficient_certificate_boundary_threshold():
     still yields consensus."""
     dims = GraphDimensions(n=2, d=2)
     graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
-    signal = build_switching_signal([graph], [(0, 1.0)], alpha=0.5, beta=2.0)
+    signal = SwitchingSignal([graph], [(0, 1.0)], alpha=0.5, beta=2.0)
     mu = contraction_factor(transition_matrix(signal, 0, 1), dims).mu_next
     verdict = sufficient_condition_certificate(signal, 1, mu)
     assert verdict.decision is Decision.CONSENSUS

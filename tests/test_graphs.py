@@ -34,7 +34,6 @@ def test_set_edge_classifies_and_stores(dims4x2):
     graph = set_edge(graph, 1, 2, [[1, 1], [1, 1]])
     assert graph.weight(1, 2).definiteness is Definiteness.POSITIVE_SEMIDEFINITE
     assert graph.edge_count == 2
-    assert sorted(graph.neighbors(1)) == [0, 2]
 
 
 def test_set_edge_is_functional(dims4x2):
@@ -98,7 +97,8 @@ def test_laplacian_block_rows_sum_to_zero(demo_graphs):
         lap = laplacian(graph)
         n, d = graph.dims.n, graph.dims.d
         for i in range(n):
-            row_sum = sum(lap.block(i, j) for j in range(n))
+            rows = lap.matrix[i * d : (i + 1) * d]
+            row_sum = sum(rows[:, j * d : (j + 1) * d] for j in range(n))
             assert np.allclose(row_sum, 0.0, atol=1e-14)
         # equivalently, states with all nodes equal are annihilated
         same = np.tile(np.arange(1.0, d + 1.0), n)

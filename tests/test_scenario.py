@@ -32,7 +32,7 @@ def test_load_fixture(scenario_path):
     scenario = load_scenario(scenario_path)
     assert scenario.dims.n == 4 and scenario.dims.d == 2
     assert scenario.graph_names == ("G1", "G2", "G3")
-    assert scenario.periodic and scenario.signal.period == 6.0
+    assert scenario.signal.periodic and scenario.signal.period == 6.0
     assert np.array_equal(scenario.initial_state, X0)
     assert scenario.run.t_end == 60.0
     assert scenario.run.sample_dt == 0.5

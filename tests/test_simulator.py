@@ -5,15 +5,14 @@ from matconsensus import (
     DimensionMismatchError,
     GraphDimensions,
     NegativeDurationError,
+    SwitchingSignal,
     TimeOutOfRangeError,
     average_consensus_point,
     build_periodic_signal,
-    build_switching_signal,
-    disagreement_trace,
     laplacian,
+    matrix_exponential_symmetric,
     max_oracle_deviation,
     new_graph,
-    propagate_segment,
     rk4_reference,
     set_edge,
     simulate,
@@ -43,21 +42,24 @@ def test_average_consensus_point_special_cases():
 
 def test_propagate_segment_basics(dims4x2, demo_initial_state):
     assert np.allclose(
-        propagate_segment(demo_initial_state, LAP_A, 0.0), demo_initial_state
+        matrix_exponential_symmetric(LAP_A, 0.0) @ demo_initial_state,
+        demo_initial_state,
     )
     # consensus states are equilibria
     point = average_consensus_point(demo_initial_state, dims4x2)
-    assert np.allclose(propagate_segment(point, LAP_A, 3.0), point, atol=1e-12)
+    assert np.allclose(
+        matrix_exponential_symmetric(LAP_A, 3.0) @ point, point, atol=1e-12
+    )
     # disagreement never grows
     before = demo_initial_state - point
-    after = propagate_segment(demo_initial_state, LAP_A, 2.0) - point
+    after = matrix_exponential_symmetric(LAP_A, 2.0) @ demo_initial_state - point
     assert np.linalg.norm(after) <= np.linalg.norm(before)
 
 
 def test_propagate_segment_matches_rk4(dims4x2, demo_graphs):
     """Exact propagation vs a fine fixed-step reference on one segment."""
-    signal = build_switching_signal([demo_graphs[0]], [(0, 2.0)], alpha=1.0, beta=4.0)
-    exact = propagate_segment(X0, LAP_A, 2.0)
+    signal = SwitchingSignal([demo_graphs[0]], [(0, 2.0)], alpha=1.0, beta=4.0)
+    exact = matrix_exponential_symmetric(LAP_A, 2.0) @ X0
     reference = rk4_reference(signal, X0, 2.0, 1e-4)
     assert np.max(np.abs(exact - reference.final_state)) <= 1e-8
 
@@ -94,15 +96,15 @@ def test_simulate_isolated_node_is_frozen(demo_graphs):
         period=6.0, alpha=0.5, beta=4.0,
     )
     trajectory = simulate(signal, X0, 30.0, 1.0)
-    drift = trajectory.node_states(3) - X0[6:8]
+    drift = trajectory.states[:, 6:8] - X0[6:8]
     assert np.max(np.abs(drift)) <= 1e-12
 
 
-def test_simulate_validation(demo_signal):
+def test_simulate_validation(demo_signal, demo_finite_signal):
     with pytest.raises(TimeOutOfRangeError):
         simulate(demo_signal, X0, 0.0, 0.5)
     with pytest.raises(TimeOutOfRangeError):
-        simulate(demo_signal.base, X0, 7.0, 0.5)
+        simulate(demo_finite_signal, X0, 7.0, 0.5)
     with pytest.raises(NegativeDurationError):
         simulate(demo_signal, X0, 6.0, -0.5)
     with pytest.raises(DimensionMismatchError):
@@ -124,15 +126,16 @@ def test_trajectory_invariants(demo_signal, demo_initial_state):
 
 def test_disagreement_trace(demo_signal, demo_initial_state):
     trajectory = simulate(demo_signal, demo_initial_state, 6.0, 1.0)
-    trace = disagreement_trace(trajectory)
-    assert trace[0] == (0.0, pytest.approx(0.30492403500000004))
-    assert [t for t, _ in trace] == trajectory.times.tolist()
-    assert all(v >= 0.0 for _, v in trace)
+    times, lyapunov = trajectory.times, trajectory.lyapunov
+    assert times[0] == 0.0
+    assert lyapunov[0] == pytest.approx(0.30492403500000004)
+    assert len(lyapunov) == len(times)
+    assert np.all(lyapunov >= 0.0)
 
 
 def test_rk4_reference_zero_laplacian():
     dims = GraphDimensions(n=2, d=1)
-    signal = build_switching_signal(
+    signal = SwitchingSignal(
         [new_graph(dims)], [(0, 1.0)], alpha=0.5, beta=2.0
     )
     x0 = np.array([2.5, -1.0])
@@ -145,7 +148,7 @@ def test_rk4_reference_scalar_closed_form():
     exp(-2t); RK4 at step 1e-3 matches to 1e-9."""
     dims = GraphDimensions(n=2, d=1)
     graph = set_edge(new_graph(dims), 0, 1, [[1.0]])
-    signal = build_switching_signal([graph], [(0, 2.0)], alpha=1.0, beta=4.0)
+    signal = SwitchingSignal([graph], [(0, 2.0)], alpha=1.0, beta=4.0)
     x0 = np.array([1.0, 0.0])
     trajectory = rk4_reference(signal, x0, 2.0, 1e-3)
     times = trajectory.times

@@ -8,14 +8,12 @@ from matconsensus import (
     Definiteness,
     GraphDimensions,
     NegativeDurationError,
-    NotEigenvectorsError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
     classify_definiteness,
     consensus_subspace,
     matrix_exponential_symmetric,
     null_space_basis,
-    rayleigh_extremes,
     symmetric_eigen,
 )
 from conftest import LAP_A, LAP_B, LAP_C
@@ -146,22 +144,3 @@ def test_matrix_exponential_fixes_consensus(dims4x2):
         propagator = matrix_exponential_symmetric(lap, 1.7)
         assert np.allclose(propagator @ basis, basis, atol=1e-12)
 
-
-def test_rayleigh_extremes_on_eigenvectors():
-    report = symmetric_eigen(LAP_A)
-    low, high = rayleigh_extremes(LAP_A, report.eigenvectors)
-    assert low == pytest.approx(report.smallest, abs=1e-10)
-    assert high == pytest.approx(report.largest, abs=1e-10)
-    # single-column case
-    low, high = rayleigh_extremes(LAP_A, report.eigenvectors[:, -1:])
-    assert low == pytest.approx(high)
-
-
-def test_rayleigh_extremes_rejects_non_eigenvectors():
-    vectors = np.zeros((8, 2))
-    vectors[0, 0] = 1.0
-    vectors[2, 1] = 1.0
-    with pytest.raises(NotEigenvectorsError):
-        rayleigh_extremes(LAP_A, vectors)
-    with pytest.raises(NotEigenvectorsError):
-        rayleigh_extremes(LAP_A, np.ones((8, 2)))  # not orthonormal

@@ -8,22 +8,21 @@ from matconsensus import (
     EmptySignalError,
     EmptySpanError,
     GraphDimensions,
+    IndexOutOfRangeError,
     PeriodMismatchError,
+    SwitchingSignal,
     TimeOutOfRangeError,
     TooFewPartitionsError,
     build_periodic_signal,
-    build_switching_signal,
-    graph_at,
-    integral_laplacian,
     integral_network,
     new_graph,
     null_space_basis,
 )
-from conftest import LAP_A, LAP_B, LAP_C, random_signal
+from conftest import DEMO_SEGMENTS, LAP_A, LAP_B, LAP_C, random_signal
 
 
 def test_build_switching_signal_switch_times(demo_graphs):
-    signal = build_switching_signal(
+    signal = SwitchingSignal(
         demo_graphs, [(0, 2.0), (1, 3.0), (2, 1.0)], alpha=0.5, beta=4.0
     )
     assert signal.segment_count == 3
@@ -34,16 +33,16 @@ def test_build_switching_signal_switch_times(demo_graphs):
 
 def test_build_switching_signal_rejections(demo_graphs):
     with pytest.raises(EmptySignalError):
-        build_switching_signal(demo_graphs, [], alpha=0.5, beta=4.0)
+        SwitchingSignal(demo_graphs, [], alpha=0.5, beta=4.0)
     with pytest.raises(DwellOutOfBoundsError):
-        build_switching_signal(demo_graphs, [(0, 0.1)], alpha=0.5, beta=4.0)
+        SwitchingSignal(demo_graphs, [(0, 0.1)], alpha=0.5, beta=4.0)
     with pytest.raises(DwellOutOfBoundsError):
-        build_switching_signal(demo_graphs, [(0, 9.0)], alpha=0.5, beta=4.0)
+        SwitchingSignal(demo_graphs, [(0, 9.0)], alpha=0.5, beta=4.0)
     with pytest.raises(DwellOutOfBoundsError):
-        build_switching_signal(demo_graphs, [(0, 1.0)], alpha=2.0, beta=1.0)
+        SwitchingSignal(demo_graphs, [(0, 1.0)], alpha=2.0, beta=1.0)
     other = new_graph(GraphDimensions(n=3, d=2))
     with pytest.raises(DimensionMismatchError):
-        build_switching_signal(
+        SwitchingSignal(
             list(demo_graphs) + [other], [(0, 1.0)], alpha=0.5, beta=4.0
         )
 
@@ -76,21 +75,90 @@ def test_build_periodic_signal_rejections(demo_graphs):
         )
 
 
-def test_graph_at(demo_graphs, demo_signal):
-    base = demo_signal.base
-    assert graph_at(base, 0.0) is demo_graphs[0]
-    assert graph_at(base, 1.99) is demo_graphs[0]
-    assert graph_at(base, 2.0) is demo_graphs[1]  # boundary belongs to the right
-    assert graph_at(base, 5.5) is demo_graphs[2]
+def test_segment_index_at(demo_graphs, demo_signal, demo_finite_signal):
+    def active_graph(s, t):
+        return s.segment_graph(s.segment_index_at(t))
+
+    finite = demo_finite_signal
+    assert active_graph(finite, 0.0) is demo_graphs[0]
+    assert active_graph(finite, 1.99) is demo_graphs[0]
+    assert active_graph(finite, 2.0) is demo_graphs[1]  # boundary belongs to the right
+    assert active_graph(finite, 5.5) is demo_graphs[2]
     with pytest.raises(TimeOutOfRangeError):
-        graph_at(base, 6.0)
+        active_graph(finite, 6.0)
     with pytest.raises(TimeOutOfRangeError):
-        graph_at(base, -0.1)
+        active_graph(finite, -0.1)
     # the periodic signal wraps instead
-    assert graph_at(demo_signal, 6.0) is demo_graphs[0]
-    assert graph_at(demo_signal, 13.5) is demo_graphs[0]
+    assert active_graph(demo_signal, 6.0) is demo_graphs[0]
+    assert active_graph(demo_signal, 13.5) is demo_graphs[0]
     with pytest.raises(TimeOutOfRangeError):
-        graph_at(demo_signal, -0.1)
+        active_graph(demo_signal, -0.1)
+
+
+def test_periodic_and_finite_signals_agree_on_first_pass(demo_graphs):
+    periodic = SwitchingSignal(demo_graphs, DEMO_SEGMENTS, 0.5, 4.0, periodic=True)
+    finite = SwitchingSignal(demo_graphs, DEMO_SEGMENTS, 0.5, 4.0)
+    m = len(DEMO_SEGMENTS)
+    assert periodic.partitions == finite.partitions == m
+    for k in range(m):
+        assert periodic.switch_time_exact(k) == finite.switch_time_exact(k)
+        assert periodic.segment_graph_index(k) == finite.segment_graph_index(k)
+        assert np.array_equal(
+            periodic.segment_laplacian(k), finite.segment_laplacian(k)
+        )
+        assert np.array_equal(
+            periodic.segment_exponential(k), finite.segment_exponential(k)
+        )
+        # repeated lookups return the cached objects
+        assert finite.segment_laplacian(k) is finite.segment_laplacian(k)
+        assert finite.segment_exponential(k) is finite.segment_exponential(k)
+        assert periodic.segment_laplacian(k) is periodic.segment_laplacian(k + m)
+    assert periodic.switch_time_exact(m) == finite.switch_time_exact(m)
+
+
+def test_periodic_signal_wraps(demo_graphs):
+    signal = SwitchingSignal(demo_graphs, DEMO_SEGMENTS, 0.5, 4.0, periodic=True)
+    m = len(DEMO_SEGMENTS)
+    for k in range(2 * m):
+        assert signal.switch_time_exact(k + m) == (
+            signal.switch_time_exact(k) + signal.period_exact
+        )
+        assert signal.segment_exponential(k + m) is signal.segment_exponential(k)
+        assert signal.segment_graph_index(k + m) == signal.segment_graph_index(k)
+    assert signal.segment_count is None
+    with pytest.raises(IndexOutOfRangeError):
+        signal.segment_exponential(-1)
+    with pytest.raises(IndexOutOfRangeError):
+        signal.switch_time_exact(-1)
+
+
+def test_finite_signal_index_range(demo_graphs):
+    signal = SwitchingSignal(demo_graphs, DEMO_SEGMENTS, 0.5, 4.0)
+    m = len(DEMO_SEGMENTS)
+    assert signal.segment_count == m
+    assert signal.switch_time(m) == signal.total_duration == 6.0
+    for accessor in (
+        signal.segment_graph_index,
+        signal.segment_dwell,
+        signal.segment_laplacian,
+        signal.segment_eigensystem,
+        signal.segment_exponential,
+    ):
+        with pytest.raises(IndexOutOfRangeError):
+            accessor(m)
+        with pytest.raises(IndexOutOfRangeError):
+            accessor(-1)
+    with pytest.raises(IndexOutOfRangeError):
+        signal.switch_time_exact(m + 1)
+    with pytest.raises(IndexOutOfRangeError):
+        signal.switch_time_exact(-1)
+
+
+def test_too_few_partitions_checked_after_dwell_bounds(demo_graphs):
+    with pytest.raises(TooFewPartitionsError):
+        SwitchingSignal(demo_graphs, [(0, 2.0), (1, 4.0)], 0.5, 4.0, periodic=True)
+    with pytest.raises(DwellOutOfBoundsError):
+        SwitchingSignal(demo_graphs, [(0, 9.0), (1, 4.0)], 0.5, 4.0, periodic=True)
 
 
 def test_integral_network_single_segment_is_exact(demo_graphs, demo_signal):
@@ -113,7 +181,7 @@ def test_integral_network_over_period(demo_signal, dims4x2):
     assert np.allclose(network.adjacency_blocks[(1, 2)], expected, atol=1e-15)
     expected_lap = (2.0 * LAP_A + 3.0 * LAP_B + LAP_C) / 6.0
     assert np.allclose(network.avg_laplacian, expected_lap, atol=1e-15)
-    report = null_space_basis(integral_laplacian(network).matrix, dims4x2)
+    report = null_space_basis(network.avg_laplacian, dims4x2)
     assert report.dimension == 2
     assert report.equals_consensus
 
@@ -151,7 +219,7 @@ def test_integral_network_misaligned_span(demo_signal):
     assert sorted(network.edges) == [(0, 1), (1, 2), (1, 3), (2, 3)]
 
 
-def test_integral_network_span_validation(demo_signal):
+def test_integral_network_span_validation(demo_signal, demo_finite_signal):
     with pytest.raises(EmptySpanError):
         integral_network(demo_signal, 2.0, 2.0)
     with pytest.raises(EmptySpanError):
@@ -159,7 +227,7 @@ def test_integral_network_span_validation(demo_signal):
     with pytest.raises(TimeOutOfRangeError):
         integral_network(demo_signal, -1.0, 2.0)
     with pytest.raises(TimeOutOfRangeError):
-        integral_network(demo_signal.base, 0.0, 7.0)
+        integral_network(demo_finite_signal, 0.0, 7.0)
 
 
 def test_integral_weights_sum_to_one(rng):
