@@ -10,10 +10,11 @@ Three complementary procedures are offered:
   windows whose averaged Laplacian has agreement null space.  A suffix that
   never closes refutes consensus over that horizon and yields an explicit
   blocking direction.
-* :func:`sufficient_condition_certificate` strengthens the scan into a
-  certificate: if every greedy window's transition matrix contracts the
-  disagreement by at least a uniform factor ``q < 1`` and the windows tile
-  the horizon exactly, consensus is certified.
+* :func:`sufficient_condition_certificate` takes the scan's verdict and
+  strengthens it into a certificate over the same windows: if every
+  window's transition matrix contracts the disagreement by at least a
+  uniform factor ``q < 1`` and the windows tile the horizon exactly,
+  consensus is certified.
 
 All verdicts carry machine-checkable certificates rather than bare booleans.
 """
@@ -21,7 +22,7 @@ All verdicts carry machine-checkable certificates rather than bare booleans.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,6 +36,7 @@ from .errors import (
 from .graphs import Edge, GraphDimensions, MatrixWeightedGraph
 from .spectral import (
     Definiteness,
+    NullSpaceReport,
     consensus_subspace,
     null_space_basis,
     symmetric_eigen,
@@ -236,15 +238,6 @@ class Verdict:
     horizon: int | None = None
 
 
-def _check_horizon(signal: SwitchingSignal, horizon: int) -> None:
-    if horizon < 1:
-        raise IndexOutOfRangeError(f"horizon must be at least 1, got {horizon}")
-    if not signal.periodic and horizon > signal.partitions:
-        raise IndexOutOfRangeError(
-            f"horizon {horizon} exceeds segment count {signal.partitions}"
-        )
-
-
 def segment_laplacian_sum(
     signal: SwitchingSignal, start: int, stop: int
 ) -> NDArray[np.float64]:
@@ -263,49 +256,41 @@ def segment_laplacian_sum(
     return total
 
 
-def _window_closes(
-    accumulated: NDArray[np.float64],
-    dims: GraphDimensions,
-    tolerances: Tolerances,
-) -> bool:
-    return null_space_basis(accumulated, dims, tolerances).equals_consensus
-
-
 def _greedy_windows(
     signal: SwitchingSignal, horizon: int, tolerances: Tolerances
-) -> tuple[list[tuple[int, int]], tuple[int, NDArray[np.float64]] | None]:
+) -> tuple[tuple[Window, ...], NullSpaceObstruction | None]:
     """Greedily tile segments ``0 .. horizon - 1`` with minimal closed
     windows.
 
-    Returns the closed windows and, if the final suffix never closes, the
-    suffix start together with its accumulated Laplacian sum.
+    Each window closes at the first segment at which the running Laplacian
+    sum has the agreement subspace as null space.  Returns the closed
+    windows and, if the final suffix never closes, its obstruction, whose
+    witness comes from the null space of the suffix's last test.
     """
-    windows: list[tuple[int, int]] = []
+    windows: list[Window] = []
     start = 0
     while start < horizon:
         accumulated = np.zeros((signal.dims.stacked, signal.dims.stacked))
-        closed_at = None
         for stop in range(start + 1, horizon + 1):
             accumulated = accumulated + signal.segment_laplacian(stop - 1)
-            if _window_closes(accumulated, signal.dims, tolerances):
-                closed_at = stop
+            report = null_space_basis(accumulated, signal.dims, tolerances)
+            if report.equals_consensus:
                 break
-        if closed_at is None:
-            return windows, (start, accumulated)
-        windows.append((start, closed_at))
-        start = closed_at
-    return windows, None
+        else:
+            witness = _obstruction_witness(report, signal.dims)
+            obstruction = NullSpaceObstruction(window=(start, horizon), witness=witness)
+            return tuple(windows), obstruction
+        span = (signal.switch_time(start), signal.switch_time(stop))
+        windows.append(Window(start=start, stop=stop, span=span))
+        start = stop
+    return tuple(windows), None
 
 
 def _obstruction_witness(
-    accumulated: NDArray[np.float64],
-    dims: GraphDimensions,
-    tolerances: Tolerances,
+    report: NullSpaceReport, dims: GraphDimensions
 ) -> NDArray[np.float64]:
-    """A unit vector in the null space of the accumulated Laplacian sum with
-    no agreement component (maximal disagreement direction that the window
-    leaves untouched)."""
-    report = null_space_basis(accumulated, dims, tolerances)
+    """A unit vector in the reported null space with no agreement component
+    (maximal disagreement direction that the window leaves untouched)."""
     agreement = consensus_subspace(dims).basis
     candidates = report.basis - agreement @ (agreement.T @ report.basis)
     norms = np.linalg.norm(candidates, axis=0)
@@ -313,17 +298,6 @@ def _obstruction_witness(
     witness = candidates[:, best] / norms[best]
     witness.setflags(write=False)
     return witness
-
-
-def _window_value(
-    signal: SwitchingSignal, start: int, stop: int, mu_next: float | None = None
-) -> Window:
-    return Window(
-        start=start,
-        stop=stop,
-        span=(signal.switch_time(start), signal.switch_time(stop)),
-        mu_next=mu_next,
-    )
 
 
 def periodic_consensus_verdict(
@@ -353,7 +327,8 @@ def periodic_consensus_verdict(
             certificates.append(PositiveSpanningTree(edges=tree_edges))
         return Verdict(Decision.CONSENSUS, tuple(certificates))
     accumulated = segment_laplacian_sum(signal, 0, signal.partitions)
-    witness = _obstruction_witness(accumulated, signal.dims, tolerances)
+    report = null_space_basis(accumulated, signal.dims, tolerances)
+    witness = _obstruction_witness(report, signal.dims)
     return Verdict(
         Decision.NO_CONSENSUS,
         (NullSpaceObstruction(window=(0, signal.partitions), witness=witness),),
@@ -373,57 +348,53 @@ def necessary_condition_scan(
     horizon tiles into closed windows the necessary condition holds, which
     alone cannot certify consensus: the verdict is INCONCLUSIVE.
     """
-    _check_horizon(signal, horizon)
-    windows, open_suffix = _greedy_windows(signal, horizon, tolerances)
-    closed = tuple(_window_value(signal, a, b) for a, b in windows)
-    if open_suffix is not None:
-        start, accumulated = open_suffix
-        witness = _obstruction_witness(accumulated, signal.dims, tolerances)
-        return Verdict(
-            Decision.NO_CONSENSUS,
-            (
-                NullSpaceObstruction(window=(start, horizon), witness=witness),
-                HorizonExhausted(horizon=horizon, windows=closed),
-            ),
-            horizon=horizon,
+    if horizon < 1:
+        raise IndexOutOfRangeError(f"horizon must be at least 1, got {horizon}")
+    if not signal.periodic and horizon > signal.partitions:
+        raise IndexOutOfRangeError(
+            f"horizon {horizon} exceeds segment count {signal.partitions}"
         )
-    return Verdict(
-        Decision.INCONCLUSIVE,
-        (HorizonExhausted(horizon=horizon, windows=closed),),
-        horizon=horizon,
-    )
+    windows, obstruction = _greedy_windows(signal, horizon, tolerances)
+    exhausted = HorizonExhausted(horizon=horizon, windows=windows)
+    if obstruction is not None:
+        return Verdict(Decision.NO_CONSENSUS, (obstruction, exhausted), horizon=horizon)
+    return Verdict(Decision.INCONCLUSIVE, (exhausted,), horizon=horizon)
 
 
 def sufficient_condition_certificate(
     signal: SwitchingSignal,
-    horizon: int,
+    scan: Verdict,
     q_threshold: float,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
-    """Certify consensus over a horizon via uniform window contraction.
+    """Strengthen a :func:`necessary_condition_scan` verdict into a
+    consensus certificate via uniform window contraction.
 
-    Greedy windows are closed as in :func:`necessary_condition_scan`; for
-    each closed window the transition matrix is formed and its contraction
-    factor computed.  If the windows tile the horizon exactly and every
-    factor is at most ``q_threshold``, the disagreement shrinks geometrically
-    across windows and consensus is certified.  Otherwise the verdict is
-    INCONCLUSIVE, reporting the windows (with their factors) that were
-    found.
+    For each window the scan closed, the transition matrix is formed and
+    its contraction factor computed.  If the windows tile the scan's
+    horizon exactly (the scan is INCONCLUSIVE rather than NO_CONSENSUS)
+    and every factor is at most ``q_threshold``, the disagreement shrinks
+    geometrically across windows and consensus is certified.  Otherwise
+    the verdict is INCONCLUSIVE, reporting the windows with their factors.
     """
     if not (0.0 < q_threshold < 1.0):
         raise BadThresholdError(
             f"threshold must lie strictly inside (0, 1), got {q_threshold}"
         )
-    _check_horizon(signal, horizon)
-    windows, open_suffix = _greedy_windows(signal, horizon, tolerances)
+    exhausted = next(
+        (c for c in scan.certificates if isinstance(c, HorizonExhausted)), None
+    )
+    if exhausted is None:
+        raise TypeError("scan must be a verdict of necessary_condition_scan")
     measured: list[Window] = []
-    for start, stop in windows:
-        phi = transition_matrix(signal, start, stop)
+    for window in exhausted.windows:
+        phi = transition_matrix(signal, window.start, window.stop)
         factor = contraction_factor(phi, signal.dims, tolerances)
-        measured.append(_window_value(signal, start, stop, factor.mu_next))
-    tiles = open_suffix is None and bool(measured) and measured[-1].stop == horizon
-    uniform = all(w.mu_next is not None and w.mu_next <= q_threshold for w in measured)
-    if tiles and uniform:
+        measured.append(replace(window, mu_next=factor.mu_next))
+    horizon = exhausted.horizon
+    if scan.decision is Decision.INCONCLUSIVE and all(
+        window.mu_next <= q_threshold for window in measured
+    ):
         return Verdict(
             Decision.CONSENSUS,
             (UniformContraction(threshold=q_threshold, windows=tuple(measured)),),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -50,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """Option type: a float, with NaN and infinities rejected as usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="matconsensus",
@@ -73,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--span",
         nargs=2,
-        type=float,
+        type=_finite_float,
         metavar=("START", "END"),
         help="average the network over [START, END) instead of the default span",
     )
@@ -85,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--q",
-        type=float,
+        type=_finite_float,
         default=None,
         help="contraction threshold for the sufficient-condition certificate",
     )
@@ -101,14 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="propagate the dynamics and export a CSV trajectory"
     )
     sim.add_argument("scenario", help="path to a scenario JSON file")
-    sim.add_argument("--t-end", type=float, default=None, help="simulation end time")
     sim.add_argument(
-        "--sample-dt", type=float, default=None, help="sampling interval"
+        "--t-end", type=_finite_float, default=None, help="simulation end time"
+    )
+    sim.add_argument(
+        "--sample-dt", type=_finite_float, default=None, help="sampling interval"
     )
     sim.add_argument(
         "--oracle",
         nargs="?",
-        type=float,
+        type=_finite_float,
         const=DEFAULT_ORACLE_STEP,
         default=None,
         metavar="STEP",
@@ -269,11 +283,10 @@ def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any
         q = args.q if args.q is not None else scenario.run.q_threshold
         if q is None:
             q = DEFAULT_Q_THRESHOLD
-        verdicts["necessary_scan"] = _verdict_to_dict(
-            necessary_condition_scan(signal, horizon, tolerances)
-        )
+        scan = necessary_condition_scan(signal, horizon, tolerances)
+        verdicts["necessary_scan"] = _verdict_to_dict(scan)
         verdicts["sufficient_certificate"] = _verdict_to_dict(
-            sufficient_condition_certificate(signal, horizon, q, tolerances)
+            sufficient_condition_certificate(signal, scan, q, tolerances)
         )
 
     return {
@@ -408,9 +421,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if sample_dt is None:
         sample_dt = DEFAULT_SAMPLE_DT
 
-    trajectory = simulate(
-        scenario.signal, scenario.initial_state, t_end, sample_dt, scenario.tolerances
-    )
+    trajectory = simulate(scenario.signal, scenario.initial_state, t_end, sample_dt)
 
     deviation = None
     if args.oracle is not None:

@@ -56,10 +56,6 @@ class WeightMatrix:
     entries: NDArray[np.float64]
     definiteness: Definiteness
 
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.definiteness is Definiteness.POSITIVE_DEFINITE
-
 
 @dataclass(frozen=True)
 class MatrixWeightedGraph:

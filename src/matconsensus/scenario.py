@@ -31,6 +31,7 @@ field path prefixed to the message.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -81,6 +82,8 @@ def _expect(value: Any, kind: type, path: str, what: str) -> Any:
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(path, f"expected {what}, got {value!r}")
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ScenarioError(path, f"expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -136,7 +139,10 @@ def _parse_tolerances(data: dict, path: str) -> Tolerances:
         if key not in known:
             raise ScenarioError(f"{path}.{key}", "unknown tolerance")
         overrides[key] = _expect(value, float, f"{path}.{key}", "a number")
-    return DEFAULT_TOLERANCES.replace(**overrides)
+    try:
+        return DEFAULT_TOLERANCES.replace(**overrides)
+    except ModelError as error:
+        raise _contextualize(error, path) from error
 
 
 def _contextualize(error: ModelError, path: str) -> ModelError:

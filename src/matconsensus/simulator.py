@@ -23,7 +23,6 @@ from .errors import (
 )
 from .graphs import GraphDimensions
 from .switching import SwitchingSignal
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 def _stacked_state(x: NDArray[np.float64], dims: GraphDimensions) -> NDArray[np.float64]:
@@ -151,14 +150,12 @@ def simulate(
     x0: NDArray[np.float64],
     t_end: float,
     sample_dt: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> Trajectory:
     """Propagate the switched dynamics exactly and sample the trajectory.
 
     Samples are taken at every multiple of ``sample_dt`` in ``[0, t_end]``,
     at every switch instant, and at ``t_end`` itself.
     """
-    del tolerances  # propagation is exact; kept for signature symmetry
     _check_horizon_time(signal, t_end)
     if not sample_dt > 0:
         raise NegativeDurationError(f"sample_dt must be positive, got {sample_dt}")

@@ -261,10 +261,6 @@ class IntegralNetwork:
         )
         object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        pair = (i, j) if i < j else (j, i)
-        return pair in self.edges
-
 
 def integral_network(
     signal: SwitchingSignal,

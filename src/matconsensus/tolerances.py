@@ -9,7 +9,10 @@ positive rescaling while remaining meaningful for matrices of modest norm.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+
+from .errors import ModelError
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,11 @@ class Tolerances:
     monotonicity: float = 1e-10
     mean_drift: float = 1e-10
     oracle_deviation: float = 1e-6
+
+    def __post_init__(self) -> None:
+        for name, value in self.as_dict().items():
+            if not 0.0 <= value < math.inf:
+                raise ModelError(f"{name} must be finite and >= 0, got {value!r}")
 
     def replace(self, **overrides: float) -> "Tolerances":
         """Return a copy with the given fields overridden."""

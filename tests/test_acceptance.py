@@ -42,9 +42,7 @@ def scenario(scenario_path):
 
 @pytest.fixture(scope="module")
 def long_trajectory(scenario):
-    return simulate(
-        scenario.signal, scenario.initial_state, 60.0, 0.5, scenario.tolerances
-    )
+    return simulate(scenario.signal, scenario.initial_state, 60.0, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +60,7 @@ def test_acceptance_1_end_to_end_consensus(scenario_path):
     started = time.perf_counter()
     scenario = load_scenario(scenario_path)
     verdict = periodic_consensus_verdict(scenario.signal, scenario.tolerances)
-    trajectory = simulate(
-        scenario.signal, scenario.initial_state, 60.0, 0.5, scenario.tolerances
-    )
+    trajectory = simulate(scenario.signal, scenario.initial_state, 60.0, 0.5)
     elapsed = time.perf_counter() - started
     deviation = float(
         np.max(np.abs(trajectory.final_state - trajectory.consensus_point))

@@ -227,7 +227,9 @@ def test_necessary_scan_horizon_validation(demo_signal, demo_finite_signal):
 
 
 def test_sufficient_certificate_consensus(demo_signal):
-    verdict = sufficient_condition_certificate(demo_signal, 8, 0.99)
+    verdict = sufficient_condition_certificate(
+        demo_signal, necessary_condition_scan(demo_signal, 8), 0.99
+    )
     assert verdict.decision is Decision.CONSENSUS
     contraction = _cert(verdict, UniformContraction)
     assert contraction.threshold == 0.99
@@ -238,14 +240,18 @@ def test_sufficient_certificate_consensus(demo_signal):
 
 
 def test_sufficient_certificate_open_suffix_is_inconclusive(demo_signal):
-    verdict = sufficient_condition_certificate(demo_signal, 9, 0.99)
+    verdict = sufficient_condition_certificate(
+        demo_signal, necessary_condition_scan(demo_signal, 9), 0.99
+    )
     assert verdict.decision is Decision.INCONCLUSIVE
     exhausted = _cert(verdict, HorizonExhausted)
     assert [(w.start, w.stop) for w in exhausted.windows] == [(0, 2), (2, 5), (5, 8)]
 
 
 def test_sufficient_certificate_threshold_too_tight(demo_signal):
-    verdict = sufficient_condition_certificate(demo_signal, 8, 0.5)
+    verdict = sufficient_condition_certificate(
+        demo_signal, necessary_condition_scan(demo_signal, 8), 0.5
+    )
     assert verdict.decision is Decision.INCONCLUSIVE
     exhausted = _cert(verdict, HorizonExhausted)
     worst = max(w.mu_next for w in exhausted.windows)
@@ -260,14 +266,38 @@ def test_sufficient_certificate_boundary_threshold():
     graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
     signal = SwitchingSignal([graph], [(0, 1.0)], alpha=0.5, beta=2.0)
     mu = contraction_factor(transition_matrix(signal, 0, 1), dims).mu_next
-    verdict = sufficient_condition_certificate(signal, 1, mu)
+    verdict = sufficient_condition_certificate(
+        signal, necessary_condition_scan(signal, 1), mu
+    )
     assert verdict.decision is Decision.CONSENSUS
 
 
 def test_sufficient_certificate_threshold_validation(demo_signal):
+    scan = necessary_condition_scan(demo_signal, 8)
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(BadThresholdError):
-            sufficient_condition_certificate(demo_signal, 8, bad)
+            sufficient_condition_certificate(demo_signal, scan, bad)
+
+
+def test_sufficient_certificate_measures_the_scan_windows(demo_signal):
+    """The certificate strengthens the scan over the windows it closed: same
+    start, stop and span, with each contraction factor filled in."""
+    scan = necessary_condition_scan(demo_signal, 8)
+    verdict = sufficient_condition_certificate(demo_signal, scan, 0.99)
+    scanned = _cert(scan, HorizonExhausted).windows
+    measured = _cert(verdict, UniformContraction).windows
+    assert [(w.start, w.stop, w.span) for w in measured] == [
+        (w.start, w.stop, w.span) for w in scanned
+    ]
+    assert all(w.mu_next is None for w in scanned)
+    assert all(w.mu_next is not None for w in measured)
+
+
+def test_sufficient_certificate_requires_a_scan_verdict(demo_signal):
+    with pytest.raises(TypeError):
+        sufficient_condition_certificate(
+            demo_signal, periodic_consensus_verdict(demo_signal), 0.99
+        )
 
 
 def test_segment_laplacian_sum_matches_manual(demo_signal):

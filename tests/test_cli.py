@@ -3,6 +3,12 @@ import shutil
 
 import pytest
 
+from matconsensus import (
+    analysis,
+    load_scenario,
+    necessary_condition_scan,
+    periodic_consensus_verdict,
+)
 from matconsensus.cli import main
 from conftest import FIXTURE_DIR
 
@@ -248,3 +254,84 @@ def test_simulate_span_violation_exit_code(fixture_path, capsys):
     edit_fixture(fixture_path, finite)
     assert main(["simulate", str(fixture_path), "--t-end", "100"]) == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_analyze_scans_the_windows_once(fixture_path, monkeypatch, capsys):
+    """The sufficient certificate reuses the necessary scan's windows, so an
+    ``analyze`` run makes no more window tests than one scan plus the
+    periodic verdict."""
+    calls = []
+    kernel = analysis.null_space_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "null_space_basis", counting)
+    assert main(["analyze", str(fixture_path), "--horizon", "8"]) == 0
+    capsys.readouterr()
+    analyze_calls = len(calls)
+    signal = load_scenario(fixture_path).signal
+    calls.clear()
+    necessary_condition_scan(signal, 8)
+    periodic_consensus_verdict(signal)
+    assert analyze_calls == len(calls) > 0
+
+
+def _set(*keys, value):
+    def mutate(data):
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return mutate
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "mutate, extra, command",
+    [
+        (_set("initial_state", 0, 1, value=NAN), [], "simulate"),
+        (_set("signal", "beta", value=INF), [], "validate"),
+        (_set("tolerances", value={"oracle_deviation": NAN}), ["--oracle"], "simulate"),
+        (_set("graphs", "G1", 0, "weight", 1, value=NAN), [], "validate"),
+        (_set("run", "t_end", value=INF), [], "simulate"),
+        (None, ["--t-end", "inf"], "simulate"),
+        (None, ["--span", "0", "inf"], "analyze"),
+        (None, ["--span", "nan", "1"], "analyze"),
+    ],
+    ids=[
+        "nan-initial-state",
+        "infinite-beta",
+        "nan-oracle-deviation",
+        "nan-weight",
+        "infinite-run-t-end",
+        "t-end-inf",
+        "span-end-inf",
+        "span-start-nan",
+    ],
+)
+def test_non_finite_numbers_are_rejected(
+    fixture_path, tmp_path, capsys, mutate, extra, command
+):
+    if mutate is not None:
+        edit_fixture(fixture_path, mutate)
+    if command == "simulate":
+        extra = extra + ["--out", str(tmp_path / "traj.csv")]
+    assert main([command, str(fixture_path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_negative_tolerance_is_a_model_error(fixture_path, capsys):
+    edit_fixture(fixture_path, _set("tolerances", value={"null_space": -1}))
+    assert main(["analyze", str(fixture_path)]) == 2
+    err = capsys.readouterr().err
+    assert "tolerances: null_space" in err
+    assert "Traceback" not in err

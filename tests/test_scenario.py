@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from matconsensus import (
     Definiteness,
     DwellOutOfBoundsError,
     IndefiniteWeightError,
+    ModelError,
     ScenarioError,
     TooFewPartitionsError,
+    Tolerances,
     load_scenario,
     parse_scenario,
     scenario_to_dict,
@@ -141,6 +144,32 @@ def test_tolerance_overrides():
     assert scenario.tolerances.null_space == 1e-7
     assert scenario.tolerances.mu_gap == 1e-6
     assert scenario.tolerances.symmetry == 1e-12  # untouched default
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_tolerances_must_be_finite_and_non_negative(bad):
+    with pytest.raises(ModelError, match="null_space"):
+        Tolerances(null_space=bad)
+    with pytest.raises(ModelError, match="mu_gap"):
+        Tolerances().replace(mu_gap=bad)
+    assert Tolerances(null_space=0.0).null_space == 0.0
+
+
+def test_negative_tolerance_in_scenario_names_its_path():
+    data = minimal_scenario()
+    data["tolerances"] = {"null_space": -1}
+    with pytest.raises(ModelError, match=r"^tolerances: null_space"):
+        parse_scenario(data)
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"]
+)
+def test_non_finite_numbers_rejected_at_their_path(bad):
+    data = minimal_scenario()
+    data["signal"]["beta"] = bad
+    with pytest.raises(ScenarioError, match=r"^signal\.beta: expected a finite"):
+        parse_scenario(data)
 
 
 def test_round_trip_through_canonical_dict(scenario_path):
