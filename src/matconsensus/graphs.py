@@ -10,6 +10,7 @@ edge".  Graph values are immutable: :func:`set_edge` returns a new graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -21,6 +22,7 @@ from .errors import (
     AsymmetricWeightError,
     DimensionMismatchError,
     IndefiniteWeightError,
+    ModelError,
     SelfLoopError,
     ZeroWeightError,
 )
@@ -115,8 +117,9 @@ def set_edge(
     The weight must be a symmetric ``d x d`` matrix that classifies as
     positive definite or positive semi-definite.  Asymmetry beyond tolerance,
     indefiniteness, and (numerically) zero weights are each rejected with a
-    dedicated error.  Symmetric rounding noise is removed by storing
-    ``(W + W^T) / 2``.
+    dedicated error, and non-finite entries with :class:`ModelError`.
+    Symmetric rounding noise is removed by storing ``W/2 + W^T/2``, which
+    does not overflow.
     """
     n, d = graph.dims.n, graph.dims.d
     if not (0 <= i < n and 0 <= j < n):
@@ -130,14 +133,19 @@ def set_edge(
         raise DimensionMismatchError(
             f"weight must be {d}x{d}, got shape {weight.shape}"
         )
+    # the largest magnitude is NaN or inf exactly when some entry is
+    magnitude = float(np.max(np.abs(weight), initial=0.0))
+    if not math.isfinite(magnitude):
+        raise ModelError(f"weight for edge ({i}, {j}) has non-finite entries")
     defect = _symmetry_defect(weight)
-    scale = max(1.0, float(np.max(np.abs(weight), initial=0.0)))
+    scale = max(1.0, magnitude)
     if defect > tolerances.symmetry * scale:
         raise AsymmetricWeightError(
             f"weight for edge ({i}, {j}) is asymmetric: "
             f"max|W - W^T| = {defect:.3e}"
         )
-    symmetric = (weight + weight.T) / 2.0
+    half = weight / 2.0
+    symmetric = half + half.T
     definiteness = classify_definiteness(symmetric, tolerances)
     if definiteness is Definiteness.ZERO:
         raise ZeroWeightError(

@@ -11,6 +11,7 @@ steps across a switch instant is provided as an independent reference.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,12 @@ from numpy.typing import NDArray
 
 from .errors import (
     DimensionMismatchError,
+    ModelError,
     NegativeDurationError,
     TimeOutOfRangeError,
 )
 from .graphs import GraphDimensions
-from .switching import SwitchingSignal
+from .switching import SwitchingSignal, same_instant
 
 
 def _stacked_state(x: NDArray[np.float64], dims: GraphDimensions) -> NDArray[np.float64]:
@@ -38,6 +40,8 @@ def _stacked_state(x: NDArray[np.float64], dims: GraphDimensions) -> NDArray[np.
             f"state must have shape ({dims.stacked},) or ({dims.n}, {dims.d}), "
             f"got {state.shape}"
         )
+    if not np.isfinite(state).all():
+        raise ModelError("state has non-finite entries")
     return state.copy()
 
 
@@ -86,12 +90,9 @@ class Trajectory:
 
 
 def _check_horizon_time(signal: SwitchingSignal, t_end: float) -> None:
-    if not t_end > 0:
-        raise TimeOutOfRangeError(f"t_end must be positive, got {t_end}")
-    if t_end > signal.total_duration:
-        raise TimeOutOfRangeError(
-            f"t_end {t_end} exceeds signal duration {signal.total_duration}"
-        )
+    if not 0 < t_end < math.inf:
+        raise TimeOutOfRangeError(f"t_end must be positive and finite, got {t_end}")
+    signal.snap_to_end(t_end, f"t_end {t_end}")
 
 
 def _states_at(
@@ -101,19 +102,14 @@ def _states_at(
 
     Walks the segments once; the running state is advanced across each
     switch with the cached full-segment exponential, and intra-segment
-    samples use the cached eigensystem directly.
+    samples use the cached eigensystem directly.  Samples past the end of a
+    finite signal take its final state.
     """
     states = np.empty((len(times), x0.shape[0]))
     current = x0.copy()
-    k = 0
-    seg_start = 0.0
     i = 0
-    while i < len(times):
-        if not signal.periodic and k >= signal.partitions:
-            states[i] = current
-            i += 1
-            continue
-        seg_end = signal.switch_time(k + 1)
+    for k, t_k, t_next in signal.segments_between(0, times[-1]):
+        seg_start, seg_end = float(t_k), float(t_next)
         while i < len(times) and times[i] < seg_end:
             delta = times[i] - seg_start
             if delta == 0.0:
@@ -124,25 +120,30 @@ def _states_at(
             i += 1
         if i < len(times):
             current = signal.segment_exponential(k) @ current
-            seg_start = seg_end
-            k += 1
+    states[i:] = current
     return states
 
 
 def _sample_times(
     signal: SwitchingSignal, t_end: float, sample_dt: float
 ) -> NDArray[np.float64]:
+    """Time 0, the ``sample_dt`` grid, the switch instants and ``t_end``.
+    A tick that is the same instant as a switch instant or ``t_end`` merges
+    into it, and so does a switch instant at ``t_end``."""
+    starts = (float(t_k) for _, t_k, _ in signal.segments_between(0, t_end))
+    instants = [t for t in starts if not same_instant(t, t_end)] + [float(t_end)]
     count = int(math.floor(t_end / sample_dt + 1e-9))
-    ticks = {k * sample_dt for k in range(count + 1)}
-    ticks.add(float(t_end))
-    k = 1
-    while signal.periodic or k <= signal.partitions:
-        t = signal.switch_time(k)
-        if t >= t_end:
+    ticks = {0.0, *instants}
+    for k in range(count + 1):
+        t = k * sample_dt
+        if t > t_end:
             break
-        ticks.add(t)
-        k += 1
-    return np.array(sorted(t for t in ticks if 0.0 <= t <= t_end))
+        i = bisect_left(instants, t)  # instants[i - 1] < t <= instants[i]
+        if not (
+            same_instant(t, instants[i]) or (i > 0 and same_instant(t, instants[i - 1]))
+        ):
+            ticks.add(t)
+    return np.array(sorted(ticks))
 
 
 def simulate(
@@ -154,7 +155,9 @@ def simulate(
     """Propagate the switched dynamics exactly and sample the trajectory.
 
     Samples are taken at every multiple of ``sample_dt`` in ``[0, t_end]``,
-    at every switch instant, and at ``t_end`` itself.
+    at every switch instant, and at ``t_end`` itself; a multiple within
+    rounding of a switch instant or of ``t_end`` merges into it.  ``t_end``
+    may exceed a finite signal's end by rounding.
     """
     _check_horizon_time(signal, t_end)
     if not sample_dt > 0:
@@ -197,10 +200,9 @@ def rk4_reference(
 
     times = [0.0]
     states = [state]
-    k = 0
     seg_start = 0.0
-    while seg_start < t_end:
-        seg_end = min(signal.switch_time(k + 1), t_end)
+    for k, _, t_next in signal.segments_between(0, t_end):
+        seg_end = min(float(t_next), t_end)
         span = seg_end - seg_start
         lap = signal.segment_laplacian(k)
         full = int(math.floor(span / step + 1e-12))
@@ -215,9 +217,6 @@ def rk4_reference(
             times.append(seg_end)
             states.append(current)
         seg_start = seg_end
-        k += 1
-        if not signal.periodic and k >= signal.partitions:
-            break
 
     return Trajectory(
         dims=signal.dims,

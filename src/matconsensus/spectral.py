@@ -97,14 +97,15 @@ def symmetric_eigen(
 ) -> SpectrumReport:
     """Eigendecomposition of a symmetric matrix.
 
-    The input is checked for symmetry and symmetrised as ``(M + M^T)/2``
-    before calling the symmetric solver, so the result is deterministic and
-    the reconstruction ``V diag(w) V^T`` reproduces the input to solver
-    accuracy.
+    The input is checked for symmetry and symmetrised as ``M/2 + M^T/2``,
+    which does not overflow, before calling the symmetric solver, so the
+    result is deterministic and the reconstruction ``V diag(w) V^T``
+    reproduces the input to solver accuracy.
     """
     matrix = np.asarray(matrix, dtype=float)
     require_symmetric(matrix, tolerances.symmetry)
-    sym = (matrix + matrix.T) / 2.0
+    half = matrix / 2.0
+    sym = half + half.T
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     return SpectrumReport(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 

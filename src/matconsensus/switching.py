@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,6 +43,11 @@ from .spectral import (
     symmetric_eigen,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+
+def same_instant(a: float | Fraction, b: float | Fraction) -> bool:
+    """Whether two times differ by no more than rounding."""
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
 class SwitchingSignal:
@@ -172,15 +177,38 @@ class SwitchingSignal:
     def segment_graph(self, k: int) -> MatrixWeightedGraph:
         return self.graphs[self.segment_graph_index(k)]
 
-    def segment_index_at(self, t: float) -> int:
+    def segment_index_at(self, t: float | Fraction) -> int:
         """Index of the segment active at time ``t`` (``t_k <= t < t_k+1``)."""
-        tf = Fraction(float(t))
+        tf = t if isinstance(t, Fraction) else Fraction(float(t))
         if tf < 0 or (not self.periodic and tf >= self.period_exact):
             raise TimeOutOfRangeError(
                 f"time {t} outside [0, {self.total_duration})"
             )
         cycle, rest = divmod(tf, self.period_exact)
         return int(cycle) * len(self.segments) + bisect_right(self._times, rest) - 1
+
+    def segments_between(
+        self, start: float | Fraction, end: float | Fraction
+    ) -> Iterator[tuple[int, Fraction, Fraction]]:
+        """Yield ``(k, t_k, t_k+1)`` with exact switch instants for every
+        segment that overlaps ``[start, end)``, in time order.  A finite
+        signal stops after its last segment."""
+        k = self.segment_index_at(start)
+        t_k = self.switch_time_exact(k)
+        while max(start, t_k) < end and (self.periodic or k < len(self.segments)):
+            t_next = self.switch_time_exact(k + 1)
+            yield k, t_k, t_next
+            k, t_k = k + 1, t_next
+
+    def snap_to_end(self, t: float | Fraction, what: str) -> float | Fraction:
+        """``t``, or the end of a finite signal if ``t`` is past it by no more
+        than rounding.  A ``t`` further past raises ``TimeOutOfRangeError``
+        whose message starts with ``what``, the caller's name for ``t``."""
+        if self.periodic or t <= self.period_exact:
+            return t
+        if same_instant(t, self.period_exact):
+            return self.period_exact
+        raise TimeOutOfRangeError(f"{what} exceeds signal duration {self.period}")
 
     # -- cached per-segment numerics -----------------------------------------
 
@@ -280,40 +308,19 @@ def integral_network(
         raise TimeOutOfRangeError(f"span start {t_start} must be non-negative")
     if end <= start:
         raise EmptySpanError(f"span [{t_start}, {t_end}) is empty")
-    if not signal.periodic:
-        total = signal.period_exact
-        if end > total:
-            # the float image of an exact switch instant may round half an
-            # ulp past it; treat such spans as ending exactly at the end
-            if float(end - total) <= 1e-12 * max(1.0, float(total)):
-                end = total
-            else:
-                raise TimeOutOfRangeError(
-                    f"span end {t_end} exceeds signal duration {float(total)}"
-                )
+    end = signal.snap_to_end(end, f"span end {t_end}")
     span = end - start
 
-    d = signal.dims.d
     blocks: dict[Edge, NDArray[np.float64]] = {}
     avg_lap = np.zeros((signal.dims.stacked, signal.dims.stacked))
-
-    k = signal.segment_index_at(float(start))
-    while signal.switch_time_exact(k) < end:
-        overlap = min(end, signal.switch_time_exact(k + 1)) - max(
-            start, signal.switch_time_exact(k)
-        )
-        if overlap > 0:
-            weight = float(overlap / span)
-            graph = signal.segment_graph(k)
-            for pair, edge_weight in graph.edges.items():
-                if pair in blocks:
-                    blocks[pair] = blocks[pair] + weight * edge_weight.entries
-                else:
-                    blocks[pair] = weight * edge_weight.entries
-            avg_lap = avg_lap + weight * signal.segment_laplacian(k)
-        k += 1
-        if not signal.periodic and k >= signal.partitions:
-            break
+    for k, t_k, t_next in signal.segments_between(start, end):
+        weight = float((min(end, t_next) - max(start, t_k)) / span)
+        for pair, edge_weight in signal.segment_graph(k).edges.items():
+            if pair in blocks:
+                blocks[pair] = blocks[pair] + weight * edge_weight.entries
+            else:
+                blocks[pair] = weight * edge_weight.entries
+        avg_lap = avg_lap + weight * signal.segment_laplacian(k)
 
     edges: dict[Edge, Definiteness] = {}
     for pair in sorted(blocks):

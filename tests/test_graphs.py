@@ -7,6 +7,7 @@ from matconsensus import (
     DimensionMismatchError,
     GraphDimensions,
     IndefiniteWeightError,
+    ModelError,
     SelfLoopError,
     ZeroWeightError,
     adjacency_matrix,
@@ -113,3 +114,18 @@ def test_laplacian_symmetric_psd(rng):
         lap = laplacian(random_graph(rng, dims)).matrix
         assert np.array_equal(lap, lap.T)
         assert np.linalg.eigvalsh(lap).min() > -1e-9
+
+
+def test_set_edge_rejects_non_finite_weights(dims4x2):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelError, match=r"edge \(0, 1\) has non-finite") as info:
+            set_edge(new_graph(dims4x2), 0, 1, [[1.0, 0.0], [0.0, bad]])
+        assert type(info.value) is ModelError
+
+
+def test_set_edge_symmetrises_huge_weights_without_overflow(dims4x2):
+    huge = np.diag([1e308, 1e308])
+    with np.errstate(over="raise"):
+        weight = set_edge(new_graph(dims4x2), 0, 1, huge).weight(0, 1)
+    assert weight.definiteness is Definiteness.POSITIVE_DEFINITE
+    assert np.array_equal(weight.entries, huge)

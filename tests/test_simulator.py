@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from matconsensus import (
     DimensionMismatchError,
     GraphDimensions,
+    ModelError,
     NegativeDurationError,
     SwitchingSignal,
     TimeOutOfRangeError,
@@ -18,6 +21,8 @@ from matconsensus import (
     simulate,
 )
 from conftest import LAP_A, X0
+
+THREE_SHORT = [(0, 0.3), (1, 0.3), (2, 0.3)]
 
 
 def test_average_consensus_point(dims4x2, demo_initial_state):
@@ -175,3 +180,52 @@ def test_max_oracle_deviation_demo(demo_signal, demo_initial_state):
 def test_laplacian_fixture_consistency(demo_graphs):
     # the session fixtures and frozen arrays describe the same graphs
     assert np.array_equal(laplacian(demo_graphs[0]).matrix, LAP_A)
+
+
+def test_t_end_within_rounding_of_a_finite_end(demo_graphs):
+    """Three 0.3 dwells end at 0.8999999999999999; t_end 0.9 is that end."""
+    signal = SwitchingSignal(demo_graphs, THREE_SHORT, alpha=0.1, beta=1.0)
+    assert signal.total_duration == 0.8999999999999999
+    trajectory = simulate(signal, X0, 0.9, 0.3)
+    assert trajectory.times.tolist() == [0.0, 0.3, 0.6, 0.9]
+    reference = rk4_reference(signal, X0, 0.9, 1e-3)
+    assert reference.final_time == signal.total_duration
+    assert np.max(np.abs(reference.final_state - trajectory.final_state)) <= 1e-9
+    assert max_oracle_deviation(signal, X0, 0.9, 1e-3) <= 1e-6
+    with pytest.raises(TimeOutOfRangeError, match="t_end 0.91 exceeds"):
+        simulate(signal, X0, 0.91, 0.3)
+
+
+def test_sample_ticks_merge_into_switch_instants_and_t_end(demo_graphs, demo_signal):
+    periodic = SwitchingSignal(demo_graphs, THREE_SHORT, 0.1, 1.0, periodic=True)
+    times = simulate(periodic, X0, 0.9, 0.1).times.tolist()
+    # 3 * 0.1 and 6 * 0.1 merge into the switch instants 0.3 and 0.6, and
+    # 9 * 0.1 into t_end; 7 * 0.1 has no instant to merge into
+    assert times == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7000000000000001, 0.8, 0.9]
+    # 3 * 0.3 = 0.8999999999999999 merges into t_end 0.9
+    assert simulate(demo_signal, X0, 0.9, 0.3).times.tolist() == [0.0, 0.3, 0.6, 0.9]
+    # the initial state is always sampled
+    assert simulate(demo_signal, X0, 1e-13, 0.5).times.tolist() == [0.0, 1e-13]
+
+
+def test_unbounded_t_end_is_rejected(demo_signal):
+    for t_end in (math.inf, math.nan):
+        for run in (simulate, rk4_reference, max_oracle_deviation):
+            with pytest.raises(TimeOutOfRangeError, match="positive and finite"):
+                run(demo_signal, X0, t_end, 0.5)
+
+
+def test_non_finite_state_is_rejected(demo_signal, dims4x2):
+    for bad in (math.nan, math.inf, -math.inf):
+        x0 = X0.copy()
+        x0[3] = bad
+        calls = (
+            lambda: simulate(demo_signal, x0, 2.0, 0.5),
+            lambda: rk4_reference(demo_signal, x0, 2.0, 0.5),
+            lambda: max_oracle_deviation(demo_signal, x0, 2.0, 0.5),
+            lambda: average_consensus_point(x0, dims4x2),
+        )
+        for call in calls:
+            with pytest.raises(ModelError, match="non-finite entries") as info:
+                call()
+            assert type(info.value) is ModelError

@@ -26,6 +26,13 @@ def test_symmetric_eigen_rank_one():
     assert np.allclose(reconstructed, np.ones((2, 2)), atol=1e-10)
 
 
+
+def test_symmetric_eigen_does_not_overflow():
+    huge = np.array([[1e308, 1e307], [1e307, 1e308]])
+    with np.errstate(over="raise"):
+        report = symmetric_eigen(huge)
+    assert np.allclose(report.eigenvalues, [9e307, 1.1e308], rtol=1e-12, atol=0)
+
 def test_symmetric_eigen_rejects_asymmetry():
     with pytest.raises(NotSymmetricError):
         symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,10 @@ from matconsensus import (
     new_graph,
     null_space_basis,
 )
+from matconsensus.switching import same_instant
 from conftest import DEMO_SEGMENTS, LAP_A, LAP_B, LAP_C, random_signal
+
+THREE_SHORT = [(0, 0.3), (1, 0.3), (2, 0.3)]
 
 
 def test_build_switching_signal_switch_times(demo_graphs):
@@ -243,3 +249,84 @@ def test_integral_weights_sum_to_one(rng):
                 signal.segment_dwell(k) / total
             ) * signal.segment_laplacian(k)
         assert np.max(np.abs(network.avg_laplacian - expected)) <= 1e-12
+
+
+def _overlapping_segments(signal, start, end):
+    """``(k, t_k, t_k+1)`` for every segment overlapping ``[start, end)``,
+    found by scanning every segment index from zero."""
+    found = []
+    k = 0
+    while signal.periodic or k < signal.partitions:
+        t_k, t_next = signal.switch_time_exact(k), signal.switch_time_exact(k + 1)
+        if t_k >= end:
+            break
+        if max(t_k, start) < min(t_next, end):
+            found.append((k, t_k, t_next))
+        k += 1
+    return found
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_segments_between_matches_a_scan_of_switch_instants(demo_graphs, rng, periodic):
+    for _ in range(20):
+        segments = [
+            (int(rng.integers(0, 3)), float(rng.uniform(0.5, 2.0)))
+            for _ in range(int(rng.integers(3, 7)))
+        ]
+        signal = SwitchingSignal(demo_graphs, segments, 0.5, 2.0, periodic=periodic)
+        m = signal.partitions
+        reach = 3 * m if periodic else m
+        horizon = float(signal.switch_time_exact(reach))
+        instant = signal.switch_time_exact(int(rng.integers(1, reach + 1)))
+        start = float(rng.uniform(0.0, horizon))
+        spans = [
+            (start, float(rng.uniform(start, horizon))),
+            (start, horizon),
+            # ends at the float image of a switch instant, or at the instant
+            (0.0, float(instant)),
+            (0.0, instant),
+            (signal.switch_time_exact(1), instant),
+            (signal.switch_time(1), float(instant)),
+            # within rounding past the end of one pass
+            (start, math.nextafter(signal.period, math.inf)),
+            # empty
+            (start, start),
+        ]
+        for span in spans:
+            assert list(signal.segments_between(*span)) == _overlapping_segments(
+                signal, *span
+            ), span
+
+
+def test_same_instant():
+    assert same_instant(0.3, Fraction(3, 10))
+    assert same_instant(3 * 0.1, 0.3)
+    assert same_instant(0.9, 3 * Fraction(0.3))
+    assert not same_instant(0.3, 0.3 + 1e-9)
+    # the tolerance is relative beyond one time unit
+    assert same_instant(1e6, 1e6 + 1e-7)
+    assert not same_instant(1e6, 1e6 + 1e-5)
+
+
+def test_snap_to_end_accepts_rounding_past_a_finite_end(demo_graphs):
+    finite = SwitchingSignal(demo_graphs, THREE_SHORT, 0.1, 1.0)
+    periodic = SwitchingSignal(demo_graphs, THREE_SHORT, 0.1, 1.0, periodic=True)
+    assert finite.period == 0.8999999999999999
+    assert finite.snap_to_end(0.9, "t_end 0.9") == finite.period_exact
+    assert finite.snap_to_end(0.5, "t_end 0.5") == 0.5
+    assert periodic.snap_to_end(5.0, "t_end 5.0") == 5.0
+    with pytest.raises(
+        TimeOutOfRangeError,
+        match="t_end 0.91 exceeds signal duration 0.8999999999999999",
+    ):
+        finite.snap_to_end(0.91, "t_end 0.91")
+
+
+def test_integral_network_snaps_its_span_end(demo_graphs):
+    finite = SwitchingSignal(demo_graphs, THREE_SHORT, 0.1, 1.0)
+    network = integral_network(finite, 0.0, 0.9)
+    expected = (LAP_A + LAP_B + LAP_C) / 3.0
+    assert np.allclose(network.avg_laplacian, expected, atol=1e-15)
+    assert network.span == (0.0, 0.9)
+    with pytest.raises(TimeOutOfRangeError, match="span end 0.91 exceeds"):
+        integral_network(finite, 0.0, 0.91)
