@@ -26,7 +26,6 @@ from .analysis import (
     necessary_condition_scan,
     periodic_consensus_verdict,
     positive_spanning_tree,
-    segment_laplacian_sum,
     sufficient_condition_certificate,
     transition_matrix,
 )
@@ -53,7 +52,6 @@ from .errors import (
     ZeroWeightError,
 )
 from .graphs import (
-    BlockLaplacian,
     GraphDimensions,
     MatrixWeightedGraph,
     WeightMatrix,
@@ -79,10 +77,8 @@ from .simulator import (
     simulate,
 )
 from .spectral import (
-    ConsensusSubspace,
     Definiteness,
     NullSpaceReport,
-    SpectrumReport,
     classify_definiteness,
     consensus_subspace,
     matrix_exponential_symmetric,
@@ -102,8 +98,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymmetricWeightError",
     "BadThresholdError",
-    "BlockLaplacian",
-    "ConsensusSubspace",
     "ContractionReport",
     "DEFAULT_TOLERANCES",
     "Decision",
@@ -134,7 +128,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SelfLoopError",
-    "SpectrumReport",
     "SwitchingSignal",
     "TimeOutOfRangeError",
     "Tolerances",
@@ -166,7 +159,6 @@ __all__ = [
     "positive_spanning_tree",
     "rk4_reference",
     "scenario_to_dict",
-    "segment_laplacian_sum",
     "set_edge",
     "simulate",
     "sufficient_condition_certificate",

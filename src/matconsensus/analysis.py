@@ -98,43 +98,14 @@ def contraction_factor(
     verdict is never claimed on rounding noise.
     """
     matrix = phi.matrix if isinstance(phi, TransitionMatrix) else np.asarray(phi, float)
-    gram = matrix.T @ matrix
-    gram = (gram + gram.T) / 2.0
-    report = symmetric_eigen(gram, tolerances)
-    descending = report.eigenvalues[::-1].copy()
+    eigenvalues, _ = symmetric_eigen(matrix.T @ matrix, tolerances)
+    descending = eigenvalues[::-1].copy()
     mu_next = float(descending[dims.d])
     return ContractionReport(
         eigenvalues=descending,
         mu_next=mu_next,
         contracts=mu_next < 1.0 - tolerances.mu_gap,
     )
-
-
-class _UnionFind:
-    """Disjoint-set forest with path compression and union by rank."""
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
 
 
 def positive_spanning_tree(
@@ -154,11 +125,21 @@ def positive_spanning_tree(
     else:
         classified = dict(network.edges)
     n = network.dims.n
-    forest = _UnionFind(n)
+    parent = list(range(n))  # disjoint-set forest of the accepted edges
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
     accepted: list[Edge] = []
     for pair in sorted(classified):
-        if classified[pair] is Definiteness.POSITIVE_DEFINITE and forest.union(*pair):
-            accepted.append(pair)
+        if classified[pair] is Definiteness.POSITIVE_DEFINITE:
+            root_i, root_j = find(pair[0]), find(pair[1])
+            if root_i != root_j:
+                parent[root_j] = root_i
+                accepted.append(pair)
     return len(accepted) == n - 1, tuple(accepted)
 
 
@@ -238,24 +219,6 @@ class Verdict:
     horizon: int | None = None
 
 
-def segment_laplacian_sum(
-    signal: SwitchingSignal, start: int, stop: int
-) -> NDArray[np.float64]:
-    """Unweighted sum of the segment Laplacians over ``start .. stop - 1``.
-
-    For positive semi-definite summands the null space of the sum is the
-    intersection of the individual null spaces, which makes this the
-    workhorse for window-closing tests: it asks the same question as the
-    time-averaged Laplacian but is independent of the dwell durations.
-    """
-    if start >= stop:
-        raise IndexOrderError(f"need start < stop, got ({start}, {stop})")
-    total = np.zeros((signal.dims.stacked, signal.dims.stacked))
-    for k in range(start, stop):
-        total = total + signal.segment_laplacian(k)
-    return total
-
-
 def _greedy_windows(
     signal: SwitchingSignal, horizon: int, tolerances: Tolerances
 ) -> tuple[tuple[Window, ...], NullSpaceObstruction | None]:
@@ -291,7 +254,7 @@ def _obstruction_witness(
 ) -> NDArray[np.float64]:
     """A unit vector in the reported null space with no agreement component
     (maximal disagreement direction that the window leaves untouched)."""
-    agreement = consensus_subspace(dims).basis
+    agreement = consensus_subspace(dims)
     candidates = report.basis - agreement @ (agreement.T @ report.basis)
     norms = np.linalg.norm(candidates, axis=0)
     best = int(np.argmax(norms))
@@ -310,7 +273,8 @@ def periodic_consensus_verdict(
     subspace as its null space.  On success the certificate records the
     null-space match and, when one exists, a spanning tree of
     positive-definite averaged edges; on failure it carries a unit blocking
-    direction that every segment Laplacian annihilates.
+    direction from the same null space, which every segment Laplacian of
+    the period annihilates.
     """
     if not signal.periodic:
         raise InvalidSignalError(
@@ -326,8 +290,6 @@ def periodic_consensus_verdict(
         if has_tree:
             certificates.append(PositiveSpanningTree(edges=tree_edges))
         return Verdict(Decision.CONSENSUS, tuple(certificates))
-    accumulated = segment_laplacian_sum(signal, 0, signal.partitions)
-    report = null_space_basis(accumulated, signal.dims, tolerances)
     witness = _obstruction_witness(report, signal.dims)
     return Verdict(
         Decision.NO_CONSENSUS,

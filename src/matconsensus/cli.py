@@ -232,7 +232,7 @@ def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any
     graphs_doc: dict[str, Any] = {}
     for name in scenario.graph_names:
         graph = scenario.graphs[name]
-        null = null_space_basis(laplacian(graph).matrix, scenario.dims, tolerances)
+        null = null_space_basis(laplacian(graph), scenario.dims, tolerances)
         graphs_doc[name] = {
             "edges": [
                 {
@@ -450,7 +450,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"disagreement norm: {omega!r}", file=summary_stream)
     if deviation is not None:
         print(f"oracle max deviation: {deviation!r}", file=summary_stream)
-        if deviation > scenario.tolerances.oracle_deviation:
+        if not deviation <= scenario.tolerances.oracle_deviation:  # NaN fails
             raise OracleDivergenceError(
                 f"reference integrator deviates by {deviation:.3e}, "
                 f"beyond the allowed {scenario.tolerances.oracle_deviation:.3e}"

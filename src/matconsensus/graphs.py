@@ -75,25 +75,9 @@ class MatrixWeightedGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return _ordered(i, j) in self.edges
 
-    def weight(self, i: int, j: int) -> WeightMatrix:
-        return self.edges[_ordered(i, j)]
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class BlockLaplacian:
-    """The ``nd x nd`` Laplacian of a matrix-weighted graph.
-
-    Built as degree-minus-adjacency on ``d x d`` blocks; symmetric and
-    positive semi-definite by construction, with every block row summing to
-    the zero block.
-    """
-
-    dims: GraphDimensions
-    matrix: NDArray[np.float64]
 
 
 def _ordered(i: int, j: int) -> Edge:
@@ -183,8 +167,10 @@ def degree_matrix(graph: MatrixWeightedGraph) -> NDArray[np.float64]:
     return deg
 
 
-def laplacian(graph: MatrixWeightedGraph) -> BlockLaplacian:
-    """Degree-minus-adjacency block Laplacian of the graph."""
+def laplacian(graph: MatrixWeightedGraph) -> NDArray[np.float64]:
+    """The read-only ``nd x nd`` degree-minus-adjacency block Laplacian of
+    the graph: symmetric and positive semi-definite, with every block row
+    summing to the zero block."""
     matrix = degree_matrix(graph) - adjacency_matrix(graph)
     matrix.setflags(write=False)
-    return BlockLaplacian(dims=graph.dims, matrix=matrix)
+    return matrix

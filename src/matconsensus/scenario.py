@@ -64,6 +64,15 @@ class RunSettings:
     horizon: int | None = None
 
 
+# (name, type, what is expected) of every ``run`` field, in file order
+_RUN_FIELDS: tuple[tuple[str, type, str], ...] = (
+    ("t_end", float, "a number"),
+    ("sample_dt", float, "a number"),
+    ("q_threshold", float, "a number"),
+    ("horizon", int, "an integer"),
+)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A parsed scenario: named graphs, the switching signal built from
@@ -253,30 +262,14 @@ def parse_scenario(data: dict) -> Scenario:
         initial_state = np.array(values, dtype=float)
         initial_state.setflags(write=False)
 
-    run_raw = data.get("run", {})
-    run_raw = _expect(run_raw, dict, "run", "an object")
-    _reject_unknown(run_raw, {"t_end", "sample_dt", "q_threshold", "horizon"}, "run")
+    run_raw = _expect(data.get("run", {}), dict, "run", "an object")
+    _reject_unknown(run_raw, {name for name, _, _ in _RUN_FIELDS}, "run")
     run = RunSettings(
-        t_end=(
-            _expect(run_raw["t_end"], float, "run.t_end", "a number")
-            if "t_end" in run_raw
-            else None
-        ),
-        sample_dt=(
-            _expect(run_raw["sample_dt"], float, "run.sample_dt", "a number")
-            if "sample_dt" in run_raw
-            else None
-        ),
-        q_threshold=(
-            _expect(run_raw["q_threshold"], float, "run.q_threshold", "a number")
-            if "q_threshold" in run_raw
-            else None
-        ),
-        horizon=(
-            _expect(run_raw["horizon"], int, "run.horizon", "an integer")
-            if "horizon" in run_raw
-            else None
-        ),
+        **{
+            name: _expect(run_raw[name], kind, f"run.{name}", what)
+            for name, kind, what in _RUN_FIELDS
+            if name in run_raw
+        }
     )
 
     return Scenario(
@@ -342,14 +335,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             for row in scenario.initial_state.reshape(scenario.dims.n, scenario.dims.d)
         ]
     run = {
-        key: value
-        for key, value in (
-            ("t_end", scenario.run.t_end),
-            ("sample_dt", scenario.run.sample_dt),
-            ("q_threshold", scenario.run.q_threshold),
-            ("horizon", scenario.run.horizon),
-        )
-        if value is not None
+        name: getattr(scenario.run, name)
+        for name, _, _ in _RUN_FIELDS
+        if getattr(scenario.run, name) is not None
     }
     if run:
         doc["run"] = run

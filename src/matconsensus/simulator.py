@@ -95,6 +95,15 @@ def _check_horizon_time(signal: SwitchingSignal, t_end: float) -> None:
     signal.snap_to_end(t_end, f"t_end {t_end}")
 
 
+def _check_step(t_end: float, step: float, what: str) -> None:
+    """Reject a step that is not positive, or so fine that the number of
+    steps up to ``t_end`` overflows."""
+    if not step > 0:
+        raise NegativeDurationError(f"{what} must be positive, got {step}")
+    if t_end / step == math.inf:
+        raise ModelError(f"{what} {step} is too fine to count up to t_end {t_end}")
+
+
 def _states_at(
     signal: SwitchingSignal, x0: NDArray[np.float64], times: NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -157,20 +166,25 @@ def simulate(
     Samples are taken at every multiple of ``sample_dt`` in ``[0, t_end]``,
     at every switch instant, and at ``t_end`` itself; a multiple within
     rounding of a switch instant or of ``t_end`` merges into it.  ``t_end``
-    may exceed a finite signal's end by rounding.
+    may exceed a finite signal's end by rounding.  A trajectory whose disagreement
+    ``V`` leaves the float range raises :class:`ModelError`.
     """
     _check_horizon_time(signal, t_end)
-    if not sample_dt > 0:
-        raise NegativeDurationError(f"sample_dt must be positive, got {sample_dt}")
+    _check_step(t_end, sample_dt, "sample_dt")
     state = _stacked_state(x0, signal.dims)
     times = _sample_times(signal, t_end, sample_dt)
-    states = _states_at(signal, state, times)
-    return Trajectory(
+    trajectory = Trajectory(
         dims=signal.dims,
         times=times,
-        states=states,
+        states=_states_at(signal, state, times),
         consensus_point=average_consensus_point(state, signal.dims),
     )
+    # finite V implies finite states.  V overflows for an initial state near
+    # the float range, and states turn NaN when a Laplacian's spectrum is too
+    # wide for its small eigenvalues to be resolved
+    if not np.isfinite(trajectory.lyapunov).all():
+        raise ModelError("the trajectory's disagreement V left the float range")
+    return trajectory
 
 
 def _rk4_step(
@@ -194,8 +208,7 @@ def rk4_reference(
     recorded, so the result doubles as a dense reference trajectory.
     """
     _check_horizon_time(signal, t_end)
-    if not step > 0:
-        raise NegativeDurationError(f"step must be positive, got {step}")
+    _check_step(t_end, step, "step")
     state = _stacked_state(x0, signal.dims)
 
     times = [0.0]

@@ -10,6 +10,7 @@ on which all nodes carry the same d-vector.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -17,6 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    ModelError,
     NegativeDurationError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
@@ -34,23 +36,6 @@ class Definiteness(enum.Enum):
     POSITIVE_SEMIDEFINITE = "positive_semidefinite"
     ZERO = "zero"
     INDEFINITE = "indefinite"
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: NDArray[np.float64]
-    eigenvectors: NDArray[np.float64]
-
-
-@dataclass(frozen=True)
-class ConsensusSubspace:
-    """Orthonormal basis of the agreement subspace ``span(1_n (x) I_d)``."""
-
-    n: int
-    d: int
-    basis: NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -81,11 +66,16 @@ def require_symmetric(
     matrix: NDArray[np.float64], tol: float, *, what: str = "matrix"
 ) -> None:
     """Raise :class:`NotSymmetricError` unless ``matrix`` is square and
-    symmetric within ``tol`` relative to its magnitude."""
+    symmetric within ``tol`` relative to its magnitude, and
+    :class:`ModelError` if an entry is not finite."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NotSymmetricError(f"{what} must be square, got shape {matrix.shape}")
     defect = _symmetry_defect(matrix)
+    if math.isnan(defect):  # exactly when some entry is NaN or infinite
+        raise ModelError(
+            f"{what} has non-finite entries: NaN, or beyond the float range"
+        )
     if defect > tol * _scale(matrix):
         raise NotSymmetricError(
             f"{what} is not symmetric: max|M - M^T| = {defect:.3e}"
@@ -94,8 +84,9 @@ def require_symmetric(
 
 def symmetric_eigen(
     matrix: NDArray[np.float64], tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> SpectrumReport:
-    """Eigendecomposition of a symmetric matrix.
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Eigenvalues (ascending) and matching orthonormal eigenvector columns
+    of a symmetric matrix.
 
     The input is checked for symmetry and symmetrised as ``M/2 + M^T/2``,
     which does not overflow, before calling the symmetric solver, so the
@@ -105,9 +96,7 @@ def symmetric_eigen(
     matrix = np.asarray(matrix, dtype=float)
     require_symmetric(matrix, tolerances.symmetry)
     half = matrix / 2.0
-    sym = half + half.T
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    return SpectrumReport(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return np.linalg.eigh(half + half.T)
 
 
 def classify_definiteness(
@@ -119,9 +108,13 @@ def classify_definiteness(
     ``max(1, |lambda|_max)`` so classification is stable for matrices of
     moderate norm and does not flip on rounding noise.
     """
-    report = symmetric_eigen(matrix, tolerances)
-    eigenvalues = report.eigenvalues
+    eigenvalues, _ = symmetric_eigen(matrix, tolerances)
     magnitude = float(np.max(np.abs(eigenvalues), initial=0.0))
+    if math.isinf(magnitude):
+        # the spectrum overflowed; the class is invariant under positive
+        # scaling, so classify the matrix scaled down to max|M| = 1
+        matrix = np.asarray(matrix, dtype=float)
+        return classify_definiteness(matrix / _scale(matrix), tolerances)
     cutoff = tolerances.definiteness * max(1.0, magnitude)
     if magnitude <= cutoff:
         return Definiteness.ZERO
@@ -133,12 +126,12 @@ def classify_definiteness(
     return Definiteness.INDEFINITE
 
 
-def consensus_subspace(dims: "GraphDimensions") -> ConsensusSubspace:
-    """Orthonormal basis of the agreement subspace for ``n`` nodes of
-    dimension ``d``: columns of ``(1_n (x) I_d) / sqrt(n)``."""
+def consensus_subspace(dims: "GraphDimensions") -> NDArray[np.float64]:
+    """Read-only orthonormal basis of the agreement subspace
+    ``span(1_n (x) I_d)``: columns of ``(1_n (x) I_d) / sqrt(n)``."""
     basis = np.kron(np.ones((dims.n, 1)), np.eye(dims.d)) / np.sqrt(dims.n)
     basis.setflags(write=False)
-    return ConsensusSubspace(n=dims.n, d=dims.d, basis=basis)
+    return basis
 
 
 def null_space_basis(
@@ -152,7 +145,8 @@ def null_space_basis(
     count as zero; the verdict is therefore invariant under positive
     rescaling of the matrix.  Raises
     :class:`NotPositiveSemidefiniteError` if an eigenvalue is clearly
-    negative and :class:`DimensionMismatchError` on a size mismatch.
+    negative, :class:`DimensionMismatchError` on a size mismatch and
+    :class:`ModelError` if an eigenvalue is beyond the float range.
     """
     from .errors import DimensionMismatchError
 
@@ -163,8 +157,9 @@ def null_space_basis(
             f"expected a {size}x{size} matrix for n={dims.n}, d={dims.d}, "
             f"got shape {matrix.shape}"
         )
-    report = symmetric_eigen(matrix, tolerances)
-    eigenvalues = report.eigenvalues
+    eigenvalues, eigenvectors = symmetric_eigen(matrix, tolerances)
+    if not np.isfinite(eigenvalues).all():
+        raise ModelError("matrix has an eigenvalue beyond the float range")
     lam_max = max(float(eigenvalues[-1]), 0.0)
     scale = max(1.0, lam_max)
     if float(eigenvalues[0]) < -tolerances.psd * scale:
@@ -173,14 +168,13 @@ def null_space_basis(
         )
     threshold = tolerances.null_space * scale
     mask = eigenvalues <= threshold
-    basis = report.eigenvectors[:, mask]
-    basis = np.array(basis)
+    basis = np.array(eigenvectors[:, mask])
     basis.setflags(write=False)
     dimension = int(np.count_nonzero(mask))
 
     equals = dimension == dims.d
     if equals:
-        agreement = consensus_subspace(dims).basis
+        agreement = consensus_subspace(dims)
         residual = float(np.max(np.abs(matrix @ agreement), initial=0.0))
         equals = residual <= threshold
     return NullSpaceReport(
@@ -218,6 +212,5 @@ def matrix_exponential_symmetric(
     if t == 0:
         require_symmetric(matrix, tolerances.symmetry)
         return np.eye(matrix.shape[0])
-    report = symmetric_eigen(matrix, tolerances)
-    return eigen_exponential(report.eigenvalues, report.eigenvectors, t)
+    return eigen_exponential(*symmetric_eigen(matrix, tolerances), t)
 

@@ -171,9 +171,6 @@ class SwitchingSignal:
     def segment_graph_index(self, k: int) -> int:
         return self.segments[self._locate(k)[1]][0]
 
-    def segment_dwell(self, k: int) -> float:
-        return self.segments[self._locate(k)[1]][1]
-
     def segment_graph(self, k: int) -> MatrixWeightedGraph:
         return self.graphs[self.segment_graph_index(k)]
 
@@ -216,7 +213,7 @@ class SwitchingSignal:
         g = self.segment_graph_index(k)
         cached = self._laplacians.get(g)
         if cached is None:
-            cached = laplacian(self.graphs[g]).matrix
+            cached = laplacian(self.graphs[g])
             self._laplacians[g] = cached
         return cached
 
@@ -226,8 +223,7 @@ class SwitchingSignal:
         g = self.segment_graph_index(k)
         cached = self._eigensystems.get(g)
         if cached is None:
-            report = symmetric_eigen(self.segment_laplacian(k))
-            cached = (report.eigenvalues, report.eigenvectors)
+            cached = symmetric_eigen(self.segment_laplacian(k))
             self._eigensystems[g] = cached
         return cached
 
@@ -237,8 +233,7 @@ class SwitchingSignal:
         key = self.segments[self._locate(k)[1]]  # (graph, dwell)
         cached = self._exponentials.get(key)
         if cached is None:
-            values, vectors = self.segment_eigensystem(k)
-            cached = eigen_exponential(values, vectors, key[1])
+            cached = eigen_exponential(*self.segment_eigensystem(k), key[1])
             cached.setflags(write=False)
             self._exponentials[key] = cached
         return cached

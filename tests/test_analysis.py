@@ -24,7 +24,6 @@ from matconsensus import (
     new_graph,
     periodic_consensus_verdict,
     positive_spanning_tree,
-    segment_laplacian_sum,
     set_edge,
     sufficient_condition_certificate,
     transition_matrix,
@@ -68,7 +67,7 @@ def test_transition_matrix_order_and_bounds(demo_signal, demo_finite_signal):
 
 def test_transition_fixes_consensus_and_never_expands(demo_signal, dims4x2):
     phi = transition_matrix(demo_signal, 0, 6).matrix
-    basis = consensus_subspace(dims4x2).basis
+    basis = consensus_subspace(dims4x2)
     assert np.allclose(phi @ basis, basis, atol=1e-12)
     singular = np.linalg.svd(phi, compute_uv=False)
     assert singular.max() <= 1.0 + 1e-10
@@ -97,7 +96,7 @@ def test_contraction_factor_spectral_mapping():
     dims = GraphDimensions(n=2, d=2)
     graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
     signal = SwitchingSignal([graph], [(0, 1.5)], alpha=1.0, beta=2.0)
-    lap_eigs = np.linalg.eigvalsh(laplacian(graph).matrix)
+    lap_eigs = np.linalg.eigvalsh(laplacian(graph))
     report = contraction_factor(transition_matrix(signal, 0, 1), dims)
     assert report.mu_next == pytest.approx(np.exp(-2.0 * 1.5 * lap_eigs[2]), rel=1e-12)
 
@@ -164,9 +163,27 @@ def test_periodic_verdict_no_consensus_witness(demo_graphs, dims4x2):
     witness = _cert(verdict, NullSpaceObstruction).witness
     assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
     # annihilated by the segment Laplacian, orthogonal to agreement
-    assert np.max(np.abs(laplacian(demo_graphs[0]).matrix @ witness)) <= 1e-9
-    basis = consensus_subspace(dims4x2).basis
+    assert np.max(np.abs(laplacian(demo_graphs[0]) @ witness)) <= 1e-9
+    basis = consensus_subspace(dims4x2)
     assert np.max(np.abs(basis.T @ witness)) <= 1e-12
+
+
+    # A weak 3e-9 edge is lost in the period average but not in the plain
+    # sum of the segment Laplacians; the witness must come from the null
+    # space that decided the verdict, not be the agreement vector's rounding
+    # residual blown up to unit length.
+    dims = GraphDimensions(n=3, d=1)
+    strong = set_edge(new_graph(dims), 0, 1, [[1.0]])
+    weak = set_edge(new_graph(dims), 1, 2, [[3e-9]])
+    signal = SwitchingSignal(
+        [strong, weak], [(0, 4.0), (1, 0.5), (0, 4.0)],
+        alpha=0.5, beta=4.0, periodic=True,
+    )
+    verdict = periodic_consensus_verdict(signal)
+    assert verdict.decision is Decision.NO_CONSENSUS
+    witness = _cert(verdict, NullSpaceObstruction).witness
+    assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(consensus_subspace(dims).T @ witness)) <= 1e-12
 
 
 def test_periodic_verdict_single_pd_tree_graph():
@@ -202,9 +219,8 @@ def test_necessary_scan_open_suffix(demo_signal, dims4x2):
     obstruction = _cert(verdict, NullSpaceObstruction)
     assert obstruction.window == (5, 6)
     witness = obstruction.witness
-    suffix_sum = segment_laplacian_sum(demo_signal, 5, 6)
-    assert np.max(np.abs(suffix_sum @ witness)) <= 1e-9
-    basis = consensus_subspace(dims4x2).basis
+    assert np.max(np.abs(demo_signal.segment_laplacian(5) @ witness)) <= 1e-9
+    basis = consensus_subspace(dims4x2)
     assert np.max(np.abs(basis.T @ witness)) <= 1e-12
     assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
 
@@ -298,15 +314,3 @@ def test_sufficient_certificate_requires_a_scan_verdict(demo_signal):
         sufficient_condition_certificate(
             demo_signal, periodic_consensus_verdict(demo_signal), 0.99
         )
-
-
-def test_segment_laplacian_sum_matches_manual(demo_signal):
-    total = segment_laplacian_sum(demo_signal, 0, 3)
-    expected = (
-        demo_signal.segment_laplacian(0)
-        + demo_signal.segment_laplacian(1)
-        + demo_signal.segment_laplacian(2)
-    )
-    assert np.array_equal(total, expected)
-    with pytest.raises(IndexOrderError):
-        segment_laplacian_sum(demo_signal, 3, 3)

@@ -30,10 +30,10 @@ def test_dimensions_reject_degenerate_sizes():
 def test_set_edge_classifies_and_stores(dims4x2):
     graph = set_edge(new_graph(dims4x2), 0, 1, [[1, 1], [1, 2]])
     assert graph.has_edge(0, 1) and graph.has_edge(1, 0)
-    assert graph.weight(1, 0).definiteness is Definiteness.POSITIVE_DEFINITE
+    assert graph.edges[(0, 1)].definiteness is Definiteness.POSITIVE_DEFINITE
 
     graph = set_edge(graph, 1, 2, [[1, 1], [1, 1]])
-    assert graph.weight(1, 2).definiteness is Definiteness.POSITIVE_SEMIDEFINITE
+    assert graph.edges[(1, 2)].definiteness is Definiteness.POSITIVE_SEMIDEFINITE
     assert graph.edge_count == 2
 
 
@@ -44,7 +44,7 @@ def test_set_edge_is_functional(dims4x2):
     assert empty.edge_count == 0
     assert grown.edge_count == 1
     with pytest.raises(ValueError):
-        grown.weight(0, 1).entries[0, 0] = 5.0  # stored weights are read-only
+        grown.edges[(0, 1)].entries[0, 0] = 5.0  # stored weights are read-only
 
 
 def test_set_edge_rejections(dims4x2):
@@ -66,7 +66,7 @@ def test_set_edge_rejections(dims4x2):
 def test_set_edge_symmetrizes_rounding_noise(dims4x2):
     noisy = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
     graph = set_edge(new_graph(dims4x2), 0, 1, noisy)
-    stored = graph.weight(0, 1).entries
+    stored = graph.edges[(0, 1)].entries
     assert np.array_equal(stored, stored.T)
 
 
@@ -84,13 +84,13 @@ def test_degree_blocks(dims4x2, demo_graphs):
 def test_laplacian_matches_frozen_matrices(demo_graphs):
     """The three demo Laplacians, reproduced entry for entry."""
     for graph, expected in zip(demo_graphs, (LAP_A, LAP_B, LAP_C)):
-        assert np.array_equal(laplacian(graph).matrix, expected)
+        assert np.array_equal(laplacian(graph), expected)
 
 
 def test_laplacian_is_degree_minus_adjacency(demo_graphs):
     for graph in demo_graphs:
         expected = degree_matrix(graph) - adjacency_matrix(graph)
-        assert np.array_equal(laplacian(graph).matrix, expected)
+        assert np.array_equal(laplacian(graph), expected)
 
 
 def test_laplacian_block_rows_sum_to_zero(demo_graphs):
@@ -98,12 +98,12 @@ def test_laplacian_block_rows_sum_to_zero(demo_graphs):
         lap = laplacian(graph)
         n, d = graph.dims.n, graph.dims.d
         for i in range(n):
-            rows = lap.matrix[i * d : (i + 1) * d]
+            rows = lap[i * d : (i + 1) * d]
             row_sum = sum(rows[:, j * d : (j + 1) * d] for j in range(n))
             assert np.allclose(row_sum, 0.0, atol=1e-14)
         # equivalently, states with all nodes equal are annihilated
         same = np.tile(np.arange(1.0, d + 1.0), n)
-        assert np.allclose(lap.matrix @ same, 0.0, atol=1e-12)
+        assert np.allclose(lap @ same, 0.0, atol=1e-12)
 
 
 def test_laplacian_symmetric_psd(rng):
@@ -111,7 +111,7 @@ def test_laplacian_symmetric_psd(rng):
         dims = GraphDimensions(n=int(rng.integers(2, 6)), d=int(rng.integers(1, 4)))
         from conftest import random_graph
 
-        lap = laplacian(random_graph(rng, dims)).matrix
+        lap = laplacian(random_graph(rng, dims))
         assert np.array_equal(lap, lap.T)
         assert np.linalg.eigvalsh(lap).min() > -1e-9
 
@@ -124,8 +124,12 @@ def test_set_edge_rejects_non_finite_weights(dims4x2):
 
 
 def test_set_edge_symmetrises_huge_weights_without_overflow(dims4x2):
-    huge = np.diag([1e308, 1e308])
-    with np.errstate(over="raise"):
-        weight = set_edge(new_graph(dims4x2), 0, 1, huge).weight(0, 1)
-    assert weight.definiteness is Definiteness.POSITIVE_DEFINITE
-    assert np.array_equal(weight.entries, huge)
+    # the second weight's eigenvalue 2e308 overflows; it is still classified
+    for huge, kind in (
+        (np.diag([1e308, 1e308]), Definiteness.POSITIVE_DEFINITE),
+        (np.full((2, 2), 1e308), Definiteness.POSITIVE_SEMIDEFINITE),
+    ):
+        with np.errstate(over="raise"):
+            weight = set_edge(new_graph(dims4x2), 0, 1, huge).edges[(0, 1)]
+        assert weight.definiteness is kind
+        assert np.array_equal(weight.entries, huge)

@@ -44,10 +44,10 @@ def test_load_fixture(scenario_path):
     # edges were converted from 1-based file indices to 0-based
     g1 = scenario.graphs["G1"]
     assert g1.has_edge(0, 1) and g1.has_edge(1, 2)
-    assert g1.weight(0, 1).definiteness is Definiteness.POSITIVE_DEFINITE
+    assert g1.edges[(0, 1)].definiteness is Definiteness.POSITIVE_DEFINITE
     from matconsensus import laplacian
 
-    assert np.array_equal(laplacian(g1).matrix, LAP_A)
+    assert np.array_equal(laplacian(g1), LAP_A)
 
 
 def test_nested_and_flat_weights_agree():
@@ -57,8 +57,8 @@ def test_nested_and_flat_weights_agree():
     nested["dimensions"] = {"n": 2, "d": 2}
     flat["graphs"]["pair"][0]["weight"] = [1, 0.5, 0.5, 2]
     nested["graphs"]["pair"][0]["weight"] = [[1, 0.5], [0.5, 2]]
-    a = parse_scenario(flat).graphs["pair"].weight(0, 1).entries
-    b = parse_scenario(nested).graphs["pair"].weight(0, 1).entries
+    a = parse_scenario(flat).graphs["pair"].edges[(0, 1)].entries
+    b = parse_scenario(nested).graphs["pair"].edges[(0, 1)].entries
     assert np.array_equal(a, b)
 
 

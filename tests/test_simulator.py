@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from matconsensus import (
     set_edge,
     simulate,
 )
+from matconsensus import cli
 from conftest import LAP_A, X0
 
 THREE_SHORT = [(0, 0.3), (1, 0.3), (2, 0.3)]
@@ -179,7 +181,7 @@ def test_max_oracle_deviation_demo(demo_signal, demo_initial_state):
 
 def test_laplacian_fixture_consistency(demo_graphs):
     # the session fixtures and frozen arrays describe the same graphs
-    assert np.array_equal(laplacian(demo_graphs[0]).matrix, LAP_A)
+    assert np.array_equal(laplacian(demo_graphs[0]), LAP_A)
 
 
 def test_t_end_within_rounding_of_a_finite_end(demo_graphs):
@@ -213,6 +215,53 @@ def test_unbounded_t_end_is_rejected(demo_signal):
         for run in (simulate, rk4_reference, max_oracle_deviation):
             with pytest.raises(TimeOutOfRangeError, match="positive and finite"):
                 run(demo_signal, X0, t_end, 0.5)
+
+
+@pytest.mark.parametrize(
+    "run, extra",
+    [
+        ({}, ["--sample-dt", "5e-324"]),
+        ({"sample_dt": 5e-324}, []),
+        ({}, ["--oracle", "5e-324"]),
+    ],
+    ids=["sample-dt-option", "run-sample-dt", "oracle-step"],
+)
+def test_uncountable_step_is_a_model_error(scenario_path, tmp_path, capsys, run, extra):
+    """A sample grid or RK4 step so fine that the step count overflows is
+    rejected on entry with exit 2, not an uncaught ``OverflowError``."""
+    data = json.loads(scenario_path.read_text())
+    data["run"].update(run)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    argv = ["simulate", str(path), "--t-end", "6", "--out", str(tmp_path / "t.csv")]
+    assert cli.main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert "too fine to count up to t_end 6.0" in err
+    assert "Traceback" not in err
+
+
+def test_trajectory_leaving_the_float_range_is_a_model_error(dims4x2, demo_signal):
+    """A 1e308 weight next to O(1) ones: the Laplacian's small eigenvalues
+    are rounding noise, and exact propagation turns NaN.  A finite initial
+    state of 1e200 has a disagreement V beyond the float range."""
+    graph = set_edge(new_graph(dims4x2), 0, 1, [[1.0, 1.0], [1.0, 2.0]])
+    graph = set_edge(graph, 1, 2, [[1e308, 1.0], [1.0, 1.0]])
+    wide = SwitchingSignal([graph], [(0, 2.0)] * 3, 0.5, 4.0, periodic=True)
+    huge = X0.copy()
+    huge[3] = 1e200
+    for signal, x0 in ((wide, X0), (demo_signal, huge)):
+        with pytest.raises(ModelError, match="V left the float range"):
+            with np.errstate(all="ignore"):
+                simulate(signal, x0, 6.0, 0.5)
+
+
+def test_nan_oracle_deviation_is_a_divergence(scenario_path, tmp_path, capsys, monkeypatch):
+    """A NaN deviation fails the cross-check (exit 3) instead of passing as
+    not greater than the bound."""
+    monkeypatch.setattr(cli, "max_oracle_deviation", lambda *args: math.nan)
+    argv = ["simulate", str(scenario_path), "--t-end", "6", "--oracle"]
+    assert cli.main(argv + ["--out", str(tmp_path / "t.csv")]) == 3
+    assert "deviates by nan" in capsys.readouterr().err
 
 
 def test_non_finite_state_is_rejected(demo_signal, dims4x2):

@@ -7,22 +7,26 @@ from hypothesis import strategies as st
 from matconsensus import (
     Definiteness,
     GraphDimensions,
+    ModelError,
     NegativeDurationError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
     classify_definiteness,
     consensus_subspace,
+    laplacian,
     matrix_exponential_symmetric,
+    new_graph,
     null_space_basis,
+    set_edge,
     symmetric_eigen,
 )
 from conftest import LAP_A, LAP_B, LAP_C
 
 
 def test_symmetric_eigen_rank_one():
-    report = symmetric_eigen(np.ones((2, 2)))
-    assert np.allclose(report.eigenvalues, [0.0, 2.0], atol=1e-12)
-    reconstructed = (report.eigenvectors * report.eigenvalues) @ report.eigenvectors.T
+    values, vectors = symmetric_eigen(np.ones((2, 2)))
+    assert np.allclose(values, [0.0, 2.0], atol=1e-12)
+    reconstructed = (vectors * values) @ vectors.T
     assert np.allclose(reconstructed, np.ones((2, 2)), atol=1e-10)
 
 
@@ -30,14 +34,38 @@ def test_symmetric_eigen_rank_one():
 def test_symmetric_eigen_does_not_overflow():
     huge = np.array([[1e308, 1e307], [1e307, 1e308]])
     with np.errstate(over="raise"):
-        report = symmetric_eigen(huge)
-    assert np.allclose(report.eigenvalues, [9e307, 1.1e308], rtol=1e-12, atol=0)
+        values, _ = symmetric_eigen(huge)
+    assert np.allclose(values, [9e307, 1.1e308], rtol=1e-12, atol=0)
 
 def test_symmetric_eigen_rejects_asymmetry():
     with pytest.raises(NotSymmetricError):
         symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotSymmetricError):
         symmetric_eigen(np.zeros((2, 3)))
+
+
+def test_non_finite_matrices_are_rejected(dims4x2):
+    for bad in (np.nan, np.inf):
+        matrix = np.eye(8)
+        matrix[2, 2] = bad
+        calls = (
+            lambda: symmetric_eigen(matrix),
+            lambda: classify_definiteness(matrix),
+            lambda: null_space_basis(matrix, dims4x2),
+        )
+        for call in calls:
+            with pytest.raises(ModelError, match="non-finite entries"):
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    call()
+
+
+def test_null_space_beyond_the_float_range_is_a_model_error():
+    """The Laplacian of a 1e308 edge has eigenvalue 2e308; with an infinite
+    threshold every direction would count as null."""
+    dims = GraphDimensions(n=2, d=1)
+    graph = set_edge(new_graph(dims), 0, 1, [[1e308]])
+    with pytest.raises(ModelError, match="eigenvalue beyond the float range"):
+        null_space_basis(laplacian(graph), dims)
 
 
 def test_classify_definiteness_cases():
@@ -52,7 +80,7 @@ def test_classify_definiteness_cases():
 
 def test_consensus_subspace_orthonormal():
     dims = GraphDimensions(n=4, d=2)
-    basis = consensus_subspace(dims).basis
+    basis = consensus_subspace(dims)
     assert basis.shape == (8, 2)
     assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-14)
     # every column has all nodes carrying the same d-vector
@@ -76,11 +104,9 @@ def test_null_space_of_demo_laplacians(dims4x2):
 
 def test_null_space_equals_consensus_for_pd_tree():
     dims = GraphDimensions(n=3, d=2)
-    from matconsensus import laplacian, new_graph, set_edge
-
     graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
     graph = set_edge(graph, 1, 2, [[1, 0.5], [0.5, 1]])
-    report = null_space_basis(laplacian(graph).matrix, dims)
+    report = null_space_basis(laplacian(graph), dims)
     assert report.dimension == 2
     assert report.equals_consensus
 
@@ -146,7 +172,7 @@ def test_matrix_exponential_semigroup(t1, t2):
 
 
 def test_matrix_exponential_fixes_consensus(dims4x2):
-    basis = consensus_subspace(dims4x2).basis
+    basis = consensus_subspace(dims4x2)
     for lap in (LAP_A, LAP_B, LAP_C):
         propagator = matrix_exponential_symmetric(lap, 1.7)
         assert np.allclose(propagator @ basis, basis, atol=1e-12)

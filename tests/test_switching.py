@@ -145,7 +145,6 @@ def test_finite_signal_index_range(demo_graphs):
     assert signal.switch_time(m) == signal.total_duration == 6.0
     for accessor in (
         signal.segment_graph_index,
-        signal.segment_dwell,
         signal.segment_laplacian,
         signal.segment_eigensystem,
         signal.segment_exponential,
@@ -246,7 +245,7 @@ def test_integral_weights_sum_to_one(rng):
         expected = np.zeros_like(network.avg_laplacian)
         for k in range(signal.segment_count):
             expected = expected + (
-                signal.segment_dwell(k) / total
+                signal.segments[k][1] / total
             ) * signal.segment_laplacian(k)
         assert np.max(np.abs(network.avg_laplacian - expected)) <= 1e-12
 
