@@ -395,17 +395,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _write_csv(stream: Any, trajectory: Any) -> None:
-    d = trajectory.dims.d
+    """One line per (sample, node), written a sample at a time.  Every value
+    is formatted once, by ``repr`` of the Python float ``tolist`` gives,
+    which is the ``repr`` of the numpy float.  States are converted a row at
+    a time: Python floats of the whole array would take four times its
+    memory."""
+    n, d = trajectory.dims.n, trajectory.dims.d
     header = ",".join(["t", "node"] + [f"dim_{k + 1}" for k in range(d)] + ["V"])
     stream.write(header + "\n")
-    lyapunov = trajectory.lyapunov
-    for row, t in enumerate(trajectory.times):
-        for node in range(trajectory.dims.n):
-            values = trajectory.states[row, node * d : (node + 1) * d]
-            cells = [repr(float(t)), str(node + 1)]
-            cells.extend(repr(float(v)) for v in values)
-            cells.append(repr(float(lyapunov[row])))
-            stream.write(",".join(cells) + "\n")
+    labels = [f",{node + 1}," for node in range(n)]
+    samples = zip(
+        trajectory.times.tolist(), trajectory.lyapunov.tolist(), trajectory.states
+    )
+    for t, v, row in samples:
+        cells = list(map(repr, row.tolist()))
+        t_cell, v_cell = repr(t), f",{v!r}\n"
+        lines = [
+            t_cell + label + ",".join(cells[node * d : (node + 1) * d]) + v_cell
+            for node, label in enumerate(labels)
+        ]
+        stream.write("".join(lines))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -421,7 +430,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if sample_dt is None:
         sample_dt = DEFAULT_SAMPLE_DT
 
-    trajectory = simulate(scenario.signal, scenario.initial_state, t_end, sample_dt)
+    trajectory = simulate(
+        scenario.signal, scenario.initial_state, t_end, sample_dt, scenario.tolerances
+    )
 
     deviation = None
     if args.oracle is not None:
@@ -446,7 +457,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"node {node + 1}: {values}", file=summary_stream)
     mean = " ".join(repr(float(x)) for x in trajectory.consensus_point[:d])
     print(f"consensus point: {mean}", file=summary_stream)
-    omega = float(np.linalg.norm(trajectory.disagreement[-1]))
+    omega = float(np.linalg.norm(trajectory.final_state - trajectory.consensus_point))
     print(f"disagreement norm: {omega!r}", file=summary_stream)
     if deviation is not None:
         print(f"oracle max deviation: {deviation!r}", file=summary_stream)

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .graphs import GraphDimensions
 from .switching import SwitchingSignal, same_instant
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 def _stacked_state(x: NDArray[np.float64], dims: GraphDimensions) -> NDArray[np.float64]:
@@ -155,19 +156,53 @@ def _sample_times(
     return np.array(sorted(ticks))
 
 
+def _check_invariants(
+    trajectory: Trajectory, lyapunov: NDArray[np.float64], tolerances: Tolerances
+) -> None:
+    """Raise :class:`ModelError` unless the network mean stays put and the
+    disagreement ``V`` never rises between samples, both within tolerance.
+    The two hold exactly for ``x' = -L(t) x`` with symmetric PSD ``L``, so a
+    breach is propagation error.
+
+    The mean's drift is measured relative to ``max(1, max|mean(0)|)`` and a
+    rise of ``V`` relative to ``max(V(0), max(1, max|mean(0)|)**2)``: the
+    floors keep rounding from counting when the mean is near zero or the
+    initial state is at or near consensus (``V(0) = 0``).
+    """
+    dims, times = trajectory.dims, trajectory.times
+    means = trajectory.states.reshape(len(times), dims.n, dims.d).mean(axis=1)
+    scale = max(1.0, float(np.max(np.abs(means[0]))))
+    drift = np.max(np.abs(means - means[0]), axis=1) / scale
+    rise = np.diff(lyapunov) / max(float(lyapunov[0]), scale * scale)
+    for name, what, measured, at in (
+        ("mean_drift", "the network mean drifted", drift, times),
+        ("monotonicity", "the disagreement V rose", rise, times[1:]),
+    ):
+        worst = int(np.argmax(measured))
+        allowed = getattr(tolerances, name)
+        if measured[worst] > allowed:
+            raise ModelError(
+                f"{name}: {what} by {float(measured[worst]):.3e} (relative) at "
+                f"t={float(at[worst])!r}, beyond the allowed {allowed:.3e}"
+            )
+
+
 def simulate(
     signal: SwitchingSignal,
     x0: NDArray[np.float64],
     t_end: float,
     sample_dt: float,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> Trajectory:
     """Propagate the switched dynamics exactly and sample the trajectory.
 
     Samples are taken at every multiple of ``sample_dt`` in ``[0, t_end]``,
     at every switch instant, and at ``t_end`` itself; a multiple within
     rounding of a switch instant or of ``t_end`` merges into it.  ``t_end``
-    may exceed a finite signal's end by rounding.  A trajectory whose disagreement
-    ``V`` leaves the float range raises :class:`ModelError`.
+    may exceed a finite signal's end by rounding.  A trajectory whose
+    disagreement ``V`` leaves the float range, whose network mean drifts
+    beyond ``tolerances.mean_drift``, or whose ``V`` rises beyond
+    ``tolerances.monotonicity`` raises :class:`ModelError`.
     """
     _check_horizon_time(signal, t_end)
     _check_step(t_end, sample_dt, "sample_dt")
@@ -179,11 +214,13 @@ def simulate(
         states=_states_at(signal, state, times),
         consensus_point=average_consensus_point(state, signal.dims),
     )
+    lyapunov = trajectory.lyapunov
     # finite V implies finite states.  V overflows for an initial state near
     # the float range, and states turn NaN when a Laplacian's spectrum is too
     # wide for its small eigenvalues to be resolved
-    if not np.isfinite(trajectory.lyapunov).all():
+    if not np.isfinite(lyapunov).all():
         raise ModelError("the trajectory's disagreement V left the float range")
+    _check_invariants(trajectory, lyapunov, tolerances)
     return trajectory
 
 

@@ -45,6 +45,12 @@ from .spectral import (
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
+# Bytes of segment exponentials one signal keeps, at most; at least one
+# matrix is kept whatever its size.  16 MiB holds a full period of a
+# 12-segment periodic signal with nd = 400.
+EXPONENTIAL_CACHE_BYTES = 16 * 2**20
+
+
 def same_instant(a: float | Fraction, b: float | Fraction) -> bool:
     """Whether two times differ by no more than rounding."""
     return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
@@ -229,13 +235,21 @@ class SwitchingSignal:
 
     def segment_exponential(self, k: int) -> NDArray[np.float64]:
         """``exp(-L_k * dwell_k)`` for segment ``k``, cached per
-        ``(graph, dwell)`` pair."""
+        ``(graph, dwell)`` pair within ``EXPONENTIAL_CACHE_BYTES``.
+
+        The cache fills in first-use order and then stops: a pair met once
+        it is full is computed on every use.  A periodic walk visits its
+        pairs cyclically, so an evicting cache smaller than one period would
+        never hit, while this one keeps hitting on the pairs it holds.
+        """
         key = self.segments[self._locate(k)[1]]  # (graph, dwell)
         cached = self._exponentials.get(key)
         if cached is None:
             cached = eigen_exponential(*self.segment_eigensystem(k), key[1])
             cached.setflags(write=False)
-            self._exponentials[key] = cached
+            slots = max(1, EXPONENTIAL_CACHE_BYTES // cached.nbytes)
+            if len(self._exponentials) < slots:
+                self._exponentials[key] = cached
         return cached
 
 

@@ -36,12 +36,18 @@ class Tolerances:
     mu_gap:
         Margin below 1 required before a contraction factor counts as an
         actual contraction.
+    monotonicity:
+        Largest rise of the disagreement ``V`` between samples that
+        ``simulate`` accepts, relative to ``max(V(0), max(1, max|mean(0)|)**2)``.
+    mean_drift:
+        Largest drift of the network mean that ``simulate`` accepts,
+        relative to ``max(1, max|mean(0)|)``.
     oracle_deviation:
         Maximum deviation accepted between exact propagation and the
         Runge-Kutta reference integrator.
-    eigenvector_residual, monotonicity, mean_drift:
+    eigenvector_residual:
         Accepted in scenario files and echoed in the ``analyze`` report,
-        but no check reads them.
+        but no check reads it.
     """
 
     symmetry: float = 1e-12

@@ -1,15 +1,19 @@
+import io
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from matconsensus import (
+    GraphDimensions,
+    Trajectory,
     analysis,
     load_scenario,
     necessary_condition_scan,
     periodic_consensus_verdict,
 )
-from matconsensus.cli import main
+from matconsensus.cli import _write_csv, main
 from conftest import FIXTURE_DIR
 
 
@@ -335,3 +339,41 @@ def test_negative_tolerance_is_a_model_error(fixture_path, capsys):
     err = capsys.readouterr().err
     assert "tolerances: null_space" in err
     assert "Traceback" not in err
+
+
+def _per_cell_csv(stream, trajectory):
+    """The CSV writer that formats and writes one cell list per line, kept
+    as the byte reference for the sample-at-a-time writer."""
+    d = trajectory.dims.d
+    header = ",".join(["t", "node"] + [f"dim_{k + 1}" for k in range(d)] + ["V"])
+    stream.write(header + "\n")
+    lyapunov = trajectory.lyapunov
+    for row, t in enumerate(trajectory.times):
+        for node in range(trajectory.dims.n):
+            values = trajectory.states[row, node * d : (node + 1) * d]
+            cells = [repr(float(t)), str(node + 1)]
+            cells.extend(repr(float(v)) for v in values)
+            cells.append(repr(float(lyapunov[row])))
+            stream.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 3)])  # d = 1 on the smallest network
+def test_csv_writer_matches_the_per_cell_reference(n, d):
+    """Negative zero, a subnormal, a large integer-valued float and values
+    without a short decimal form print the same bytes either way."""
+    specials = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1e-7]
+    dims = GraphDimensions(n=n, d=d)
+    states = np.random.default_rng(0).normal(size=(len(specials), dims.stacked))
+    states[:, 0] = specials
+    states[0, -1] = -0.0
+    trajectory = Trajectory(
+        dims=dims,
+        times=np.array([0.0, 1e-7, 0.1 + 0.2, 1.0, 1e16]),
+        states=states,
+        consensus_point=np.tile(states[0].reshape(n, d).mean(axis=0), n),
+    )
+    expected, actual = io.StringIO(), io.StringIO()
+    _per_cell_csv(expected, trajectory)
+    _write_csv(actual, trajectory)
+    assert actual.getvalue() == expected.getvalue()
+    assert "-0.0" in actual.getvalue() and "5e-324" in actual.getvalue()

@@ -1,9 +1,10 @@
 """Fuzz the CLI with mutated copies of the demo scenario document.
 
-Every mutation replaces a leaf, deletes a key, adds an unknown key or swaps
-a value's type.  Whatever the document, ``validate``, ``analyze`` and
-``simulate`` must end with a documented exit code (0, 1 or 2) and no
-traceback, and a CSV written on success must hold only finite numbers.
+Every mutation replaces a leaf, deletes a key, adds an unknown key, swaps
+a value's type or scales one edge weight by a power of ten.  Whatever the
+document, ``validate``, ``analyze`` and ``simulate`` must end with a
+documented exit code (0, 1 or 2) and no traceback, and a CSV written on
+success must hold only finite numbers.
 """
 
 import contextlib
@@ -56,6 +57,7 @@ PATHS = list(_paths(DEMO))
 LEAVES = [p for p in PATHS if not isinstance(_node(DEMO, p), (dict, list))]
 OBJECTS = [p for p in PATHS if isinstance(_node(DEMO, p), dict)]
 MEMBERS = PATHS[1:]
+WEIGHTS = [p for p in PATHS if p[-1:] == ("weight",)]
 
 NUMBERS = st.one_of(
     st.integers(-3, 10),
@@ -94,6 +96,8 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("delete"), st.sampled_from(MEMBERS), st.none()),
     st.tuples(st.just("add"), st.sampled_from(OBJECTS), VALUES),
     st.tuples(st.just("swap"), st.sampled_from(MEMBERS), st.none()),
+    # a PSD weight stays PSD, but the Laplacian's spectrum spreads
+    st.tuples(st.just("scale"), st.sampled_from(WEIGHTS), st.integers(0, 20)),
 )
 
 
@@ -113,6 +117,10 @@ def _apply(doc, mutation):
         return
     if kind == "replace":
         parent[key] = value
+    elif kind == "scale":
+        weight = parent[key]
+        if isinstance(weight, list) and all(type(x) in (int, float) for x in weight):
+            parent[key] = [x * 10**value for x in weight]
     elif kind == "delete":
         del parent[key]
     else:
@@ -135,6 +143,8 @@ def _run(path, command):
 @example([("replace", ("graphs", "G2", 0, "weight", 0), 1e308)])
 @example([("replace", ("graphs", "G1", 1, "weight", 0), 1e308)])
 @example([("replace", ("initial_state", 0, 0), 1e308)])
+# a spread too wide for exact propagation to keep the network mean
+@example([("scale", ("graphs", "G2", 0, "weight"), 20)])
 def test_mutated_scenarios_end_cleanly(mutations):
     doc = copy.deepcopy(DEMO)
     for mutation in mutations:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,3 +279,54 @@ def test_non_finite_state_is_rejected(demo_signal, dims4x2):
             with pytest.raises(ModelError, match="non-finite entries") as info:
                 call()
             assert type(info.value) is ModelError
+
+
+@pytest.mark.parametrize(
+    "weight, tolerances, code, tolerance",
+    [
+        (None, None, 0, None),
+        ([1e20, 0, 0, 2], None, 2, "mean_drift"),
+        ([1e12, 0, 0, 2], None, 2, "mean_drift"),
+        ([1e6, 0, 0, 2e6], None, 2, "mean_drift"),
+        ([1e6, 0, 0, 2e6], {"mean_drift": 1e-8}, 0, None),
+        ([1e20, 0, 0, 2], {"mean_drift": 1e300}, 2, "monotonicity"),
+    ],
+    ids=["clean", "1e20", "1e12", "1e6", "1e6-looser-drift", "1e20-rise"],
+)
+def test_trajectory_invariants_are_checked(
+    scenario_path, tmp_path, capsys, weight, tolerances, code, tolerance
+):
+    """Scaling the demo's G2 edge (2,4) spreads one Laplacian's spectrum;
+    exact propagation then loses the network mean and lets ``V`` rise.  The
+    mean drift and the rise of ``V`` are checked against their tolerances
+    (exit 2) instead of being written out with exit 0."""
+    data = json.loads(scenario_path.read_text())
+    if weight is not None:
+        data["graphs"]["G2"][0]["weight"] = weight
+    if tolerances is not None:
+        data["tolerances"] = tolerances
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    argv = ["simulate", str(path), "--t-end", "12", "--out", str(tmp_path / "t.csv")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if tolerance is not None:
+        # the tolerance, the sample time as a plain float, the measured value
+        assert re.search(
+            rf"error: {tolerance}: .* by \d\.\d{{3}}e[+-]\d+ \(relative\) "
+            r"at t=\d+\.\d+, beyond the allowed",
+            err,
+        ), err
+
+
+def test_trajectory_starting_at_consensus_passes_the_invariant_checks(
+    demo_signal, demo_initial_state, dims4x2
+):
+    """``V(0)`` is zero there, so any rounding of ``V`` is a rise relative to
+    it; the check measures rises against the squared mean scale instead."""
+    point = average_consensus_point(demo_initial_state, dims4x2)
+    for shift in (0.0, 1e6):
+        trajectory = simulate(demo_signal, point + shift, 60.0, 0.5)
+        assert trajectory.lyapunov[0] == 0.0
+        assert np.max(np.diff(trajectory.lyapunov)) > 0.0  # rounding rises

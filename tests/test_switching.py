@@ -20,7 +20,10 @@ from matconsensus import (
     integral_network,
     new_graph,
     null_space_basis,
+    set_edge,
+    simulate,
 )
+from matconsensus import switching
 from matconsensus.switching import same_instant
 from conftest import DEMO_SEGMENTS, LAP_A, LAP_B, LAP_C, random_signal
 
@@ -329,3 +332,59 @@ def test_integral_network_snaps_its_span_end(demo_graphs):
     assert network.span == (0.0, 0.9)
     with pytest.raises(TimeOutOfRangeError, match="span end 0.91 exceeds"):
         integral_network(finite, 0.0, 0.91)
+
+
+def _distinct_dwell_signal(count):
+    """A finite signal of ``count`` segments on two 80-node paths (d = 2),
+    every dwell distinct, so no two segments share an exponential."""
+    dims = GraphDimensions(n=80, d=2)
+    graphs = []
+    for scale in (1.0, 2.0):
+        graph = new_graph(dims)
+        for i in range(dims.n - 1):
+            graph = set_edge(graph, i, i + 1, [[scale, 0.0], [0.0, 1.0]])
+        graphs.append(graph)
+    segments = [(k % 2, 0.5 + k / (2 * count)) for k in range(count)]
+    return SwitchingSignal(graphs, segments, alpha=0.5, beta=1.0)
+
+
+def _simulate_all(signal):
+    x0 = np.arange(signal.dims.stacked, dtype=float)
+    end = signal.total_duration
+    return simulate(signal, x0, end, end)
+
+
+def test_exponential_cache_stays_within_its_budget():
+    """The cache holds as many 160x160 exponentials as fit in the budget
+    (81), however many distinct segments the signal walks."""
+    slots = max(1, switching.EXPONENTIAL_CACHE_BYTES // (8 * 160**2))
+    sizes = []
+    for count in (100, 1000):
+        signal = _distinct_dwell_signal(count)
+        _simulate_all(signal)
+        sizes.append(len(signal._exponentials))
+    assert sizes[0] == sizes[1] <= slots < 100
+
+
+def test_exponential_cache_budget_does_not_change_the_trajectory(
+    demo_graphs, monkeypatch
+):
+    """An exponential computed once the cache is full is the same matrix the
+    cache would have held, so a one-matrix budget gives the same bits."""
+
+    def run():
+        periodic = SwitchingSignal(demo_graphs, DEMO_SEGMENTS, 0.5, 4.0, periodic=True)
+        finite = _distinct_dwell_signal(100)
+        x0 = np.arange(8, dtype=float)
+        states = (
+            simulate(periodic, x0, 30.0, 0.5).states,
+            _simulate_all(finite).states,
+        )
+        return states, (len(periodic._exponentials), len(finite._exponentials))
+
+    default, default_sizes = run()
+    monkeypatch.setattr(switching, "EXPONENTIAL_CACHE_BYTES", 1)
+    small, small_sizes = run()
+    assert default_sizes == (3, 81) and small_sizes == (1, 1)
+    for expected, actual in zip(default, small):
+        assert np.array_equal(expected, actual)
