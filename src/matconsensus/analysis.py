@@ -219,6 +219,74 @@ class Verdict:
     horizon: int | None = None
 
 
+# A bound decides a window test only when it clears the exact kernel's
+# cutoff ``null_space * max(1, lambda_max)`` by this factor, the knife-edge
+# band of the randomized suites; anything closer goes to the kernel.
+_BAND = 1e3
+
+
+class _WindowBounds:
+    """Certified bounds on the exact window test, for the growing windows
+    that start at segment ``start``.
+
+    ``decide(k, accumulated)`` returns False or True only where the exact
+    kernel must give that answer on ``accumulated``, the Laplacian sum of
+    segments ``start .. k``, and None otherwise.  It keeps an orthonormal
+    basis ``N`` with ``lambda_max(N^T A N) <= eps`` (see
+    :func:`_greedy_windows`): the eigenvectors of the first segment's
+    cached eigensystem with eigenvalues at most ``eps``, then, while ``N``
+    has more than ``d`` columns, ``N U`` at each later segment, with ``U``
+    the eigenvectors of ``N^T A N`` whose eigenvalues are at most ``eps``.
+    """
+
+    def __init__(self, signal: SwitchingSignal, start: int, tolerances: Tolerances):
+        self.signal = signal
+        self.start = start
+        self.null_space = tolerances.null_space
+        self.psd = tolerances.psd
+        # the bounds hold up to eigensolver rounding, about nd machine
+        # epsilons relative, which the tolerances must clear by the band
+        self.usable = min(self.null_space, self.psd) >= (
+            _BAND * signal.dims.stacked * np.finfo(float).eps
+        )
+        # no open bound until the first test seeds the basis
+        self.basis = np.empty((signal.dims.stacked, 0))
+        self.floor = 0.0  # sum of the segments' smallest eigenvalues
+
+    def decide(self, k: int, accumulated: NDArray[np.float64]) -> bool | None:
+        if not self.usable:
+            return None
+        values, vectors = self.signal.segment_eigensystem(k)
+        self.floor += min(0.0, float(values[0]))
+        gershgorin = float(np.max(np.sum(np.abs(accumulated), axis=1)))
+        if not np.isfinite(2.0 * gershgorin):
+            return None
+        scale = max(1.0, float(np.max(np.diagonal(accumulated))))
+        if self.floor < -self.psd * scale / _BAND:
+            return None
+        eps = self.null_space * scale / _BAND
+        d = self.signal.dims.d
+        if k == self.start:  # the sum is this segment's Laplacian
+            self.basis = vectors[:, values <= eps]
+        elif self.basis.shape[1] > d:
+            projected = self.basis.T @ (accumulated @ self.basis)
+            small, rotation = np.linalg.eigh(projected / 2.0 + projected.T / 2.0)
+            self.basis = self.basis @ rotation[:, small <= eps]
+        if self.basis.shape[1] > d:
+            return False
+        agreement = consensus_subspace(self.signal.dims)
+        if np.linalg.norm(accumulated @ agreement) > eps:
+            return None
+        lift = max(1.0, gershgorin)
+        shifted = accumulated + lift * (agreement @ agreement.T)
+        shifted[np.diag_indices_from(shifted)] -= _BAND * self.null_space * lift
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return None
+        return True
+
+
 def _greedy_windows(
     signal: SwitchingSignal, horizon: int, tolerances: Tolerances
 ) -> tuple[tuple[Window, ...], NullSpaceObstruction | None]:
@@ -226,18 +294,52 @@ def _greedy_windows(
     windows.
 
     Each window closes at the first segment at which the running Laplacian
-    sum has the agreement subspace as null space.  Returns the closed
-    windows and, if the final suffix never closes, its obstruction, whose
-    witness comes from the null space of the suffix's last test.
+    sum ``A`` has the agreement subspace as null space, as decided by
+    :func:`null_space_basis`: at most ``d`` eigenvalues at or below the
+    cutoff ``null_space * max(1, lambda_max(A))``, and ``A Q`` within it for
+    the agreement basis ``Q``.  Returns the closed windows and, if the final
+    suffix never closes, its obstruction, whose witness comes from the null
+    space of the suffix's last test.
+
+    Cheap bounds decide a test when they clear that cutoff by ``_BAND``
+    either way; the exact kernel decides every other test, and always the
+    horizon's last one, so the witness has the kernel's bits.  With ``eps =
+    null_space * max(1, max diag A) / _BAND``, which is at most the cutoff
+    over ``_BAND`` because ``lambda_max >= max diag A``:
+
+    * *Open.*  An orthonormal ``N`` with more than ``d`` columns and
+      ``lambda_max(N^T A N) <= eps`` gives ``lambda_{d+1}(A) <= eps`` by
+      Courant-Fischer, so the kernel counts more than ``d`` zero
+      eigenvalues.
+    * *Closed.*  With ``g`` the Gershgorin bound of ``A``, ``c = max(1, g)``
+      and ``tau = _BAND * null_space * c``, a Cholesky factorisation of
+      ``A + c Q Q^T - tau I`` proves ``lambda_min(A + c Q Q^T) > tau``; the
+      rank-``d`` term can lower only ``d`` eigenvalues, so
+      ``lambda_{d+1}(A) > tau``, ``_BAND`` times the cutoff.  Cholesky's
+      backward error, about ``nd * eps_machine * g``, is far below ``tau``.
+      ``||A Q||_F <= eps`` puts the other ``d`` eigenvalues within ``2 eps``
+      of zero and passes the kernel's residual test, ``max|A Q|`` within
+      the cutoff.
+
+    The kernel also rejects a sum with an eigenvalue below
+    ``-psd * max(1, lambda_max)``; the bounds apply only while the sum of the
+    segments' smallest eigenvalues, a lower bound on ``lambda_min(A)``, is
+    within ``psd * max(1, max diag A) / _BAND`` of zero, and only when
+    ``null_space`` and ``psd`` clear the eigensolver's rounding, about
+    ``nd`` machine epsilons, by ``_BAND``.
     """
     windows: list[Window] = []
     start = 0
     while start < horizon:
         accumulated = np.zeros((signal.dims.stacked, signal.dims.stacked))
+        bounds = _WindowBounds(signal, start, tolerances)
         for stop in range(start + 1, horizon + 1):
             accumulated = accumulated + signal.segment_laplacian(stop - 1)
-            report = null_space_basis(accumulated, signal.dims, tolerances)
-            if report.equals_consensus:
+            closed = bounds.decide(stop - 1, accumulated) if stop < horizon else None
+            if closed is None:
+                report = null_space_basis(accumulated, signal.dims, tolerances)
+                closed = report.equals_consensus
+            if closed:
                 break
         else:
             witness = _obstruction_witness(report, signal.dims)

@@ -224,6 +224,11 @@ def simulate(
     return trajectory
 
 
+# Classical RK4 damps a mode ``exp(-lambda t)`` only while ``h * lambda`` stays
+# within its stability interval on the negative real axis, [-2.7853, 0].
+RK4_STABILITY_LIMIT = 2.785
+
+
 def _rk4_step(
     lap: NDArray[np.float64], state: NDArray[np.float64], h: float
 ) -> NDArray[np.float64]:
@@ -232,6 +237,16 @@ def _rk4_step(
     k3 = -(lap @ (state + 0.5 * h * k2))
     k4 = -(lap @ (state + h * k3))
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_stable_step(signal: SwitchingSignal, k: int, step: float) -> None:
+    lam_max = float(signal.segment_eigensystem(k)[0][-1])
+    if step * lam_max > RK4_STABILITY_LIMIT:
+        raise ModelError(
+            f"RK4 step {step!r} is unstable on segment {k}: step * lambda_max = "
+            f"{step * lam_max:.3e} exceeds {RK4_STABILITY_LIMIT}; the largest "
+            f"stable step there is {RK4_STABILITY_LIMIT / lam_max:.3e}"
+        )
 
 
 def rk4_reference(
@@ -243,6 +258,11 @@ def rk4_reference(
     covered by full steps of ``step`` plus one shorter step to land exactly
     on the segment boundary (or on ``t_end``).  Every integration node is
     recorded, so the result doubles as a dense reference trajectory.
+
+    A segment on which the largest step taken, times the largest eigenvalue
+    of its Laplacian, exceeds ``RK4_STABILITY_LIMIT`` raises
+    :class:`ModelError` before any step: the reference would diverge on its
+    own there.
     """
     _check_horizon_time(signal, t_end)
     _check_step(t_end, step, "step")
@@ -255,6 +275,7 @@ def rk4_reference(
         seg_end = min(float(t_next), t_end)
         span = seg_end - seg_start
         lap = signal.segment_laplacian(k)
+        _check_stable_step(signal, k, min(step, span))
         full = int(math.floor(span / step + 1e-12))
         current = states[-1]
         for i in range(full):

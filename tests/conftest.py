@@ -105,6 +105,15 @@ def demo_signal(demo_graphs) -> SwitchingSignal:
     )
 
 
+def stiff_demo(demo_graphs, scale: float) -> SwitchingSignal:
+    """The periodic demo with G2's edge (2,4) set to ``diag(1, 2) * scale``:
+    from about 1e6 on, the other edges' eigenvalues come near the null-space
+    cutoff, which is relative to this edge."""
+    graphs = list(demo_graphs)
+    graphs[1] = set_edge(graphs[1], 1, 3, np.diag([1.0, 2.0]) * scale)
+    return SwitchingSignal(graphs, DEMO_SEGMENTS, alpha=0.5, beta=4.0, periodic=True)
+
+
 @pytest.fixture(scope="session")
 def demo_finite_signal(demo_graphs) -> SwitchingSignal:
     """One pass of the demo schedule, ending at t = 6."""

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from matconsensus import (
+    DEFAULT_TOLERANCES,
     BadThresholdError,
     Decision,
     GraphDimensions,
@@ -10,11 +11,14 @@ from matconsensus import (
     IndexOrderError,
     IndexOutOfRangeError,
     InvalidSignalError,
+    NotPositiveSemidefiniteError,
     NullSpaceMatch,
     NullSpaceObstruction,
     PositiveSpanningTree,
     SwitchingSignal,
     UniformContraction,
+    Window,
+    analysis,
     build_periodic_signal,
     consensus_subspace,
     contraction_factor,
@@ -22,12 +26,15 @@ from matconsensus import (
     laplacian,
     necessary_condition_scan,
     new_graph,
+    null_space_basis,
     periodic_consensus_verdict,
     positive_spanning_tree,
     set_edge,
     sufficient_condition_certificate,
     transition_matrix,
 )
+from matconsensus.analysis import _obstruction_witness
+from conftest import SEED, random_graph, stiff_demo
 
 # Frozen contraction factors for the demo schedule, computed independently
 # with scipy.linalg.expm products and eigvalsh (see test_matches_..._oracle
@@ -314,3 +321,148 @@ def test_sufficient_certificate_requires_a_scan_verdict(demo_signal):
         sufficient_condition_certificate(
             demo_signal, periodic_consensus_verdict(demo_signal), 0.99
         )
+
+
+def _scan_result(run):
+    """Windows with their spans, the obstruction window and the witness
+    bytes of a scan, or the error it raised."""
+    try:
+        windows, obstruction = run()
+    except Exception as error:  # the same error must come out either way
+        return type(error), str(error)
+    tiles = [(w.start, w.stop, w.span) for w in windows]
+    if obstruction is None:
+        return tiles, None, None
+    return tiles, obstruction.window, obstruction.witness.tobytes()
+
+
+def _bounded_and_exact(signal, horizon, tolerances=DEFAULT_TOLERANCES):
+    def bounded():
+        verdict = necessary_condition_scan(signal, horizon, tolerances)
+        exhausted = _cert(verdict, HorizonExhausted)
+        found = [c for c in verdict.certificates if isinstance(c, NullSpaceObstruction)]
+        return exhausted.windows, (found[0] if found else None)
+
+    exact = lambda: _exact_greedy_windows(signal, horizon, tolerances)
+    return _scan_result(bounded), _scan_result(exact)
+
+
+def _scaled_edge(graphs, rng, factor):
+    """The graphs with one edge's weight, drawn at random, times ``factor``."""
+    graphs = list(graphs)
+    candidates = [g for g, graph in enumerate(graphs) if graph.edges]
+    if not candidates:
+        return graphs
+    g = candidates[int(rng.integers(len(candidates)))]
+    pairs = sorted(graphs[g].edges)
+    i, j = pairs[int(rng.integers(len(pairs)))]
+    graphs[g] = set_edge(graphs[g], i, j, graphs[g].edges[(i, j)].entries * factor)
+    return graphs
+
+
+def _undecided_signals(rng, count):
+    """Random finite and periodic signals, knife-edge draws included (no
+    ``_decisively_classified`` filter), each also with one edge scaled by
+    ``10**k``."""
+    for index in range(count):
+        dims = GraphDimensions(n=int(rng.integers(2, 7)), d=int(rng.integers(1, 4)))
+        graphs = [random_graph(rng, dims) for _ in range(int(rng.integers(1, 4)))]
+        periodic = index % 2 == 1
+        segments = [
+            (int(rng.integers(0, len(graphs))), float(rng.uniform(0.5, 2.0)))
+            for _ in range(int(rng.integers(3 if periodic else 1, 6)))
+        ]
+        factor = 10.0 ** int(rng.integers(0, 15))
+        for pool in (graphs, _scaled_edge(graphs, rng, factor)):
+            yield SwitchingSignal(pool, segments, 0.5, 2.0, periodic=periodic)
+
+
+@pytest.mark.parametrize(
+    "overrides, count",
+    [({}, 300), ({"psd": 0.0}, 60), ({"null_space": 0.0}, 60)],
+    ids=["default", "psd-0", "null-space-0"],
+)
+def test_bounded_scan_matches_the_exact_scan(overrides, count):
+    """The certified bounds only skip kernel calls: windows, spans, the
+    obstruction and its witness bytes (or the error raised) equal those of
+    the scan that runs the exact kernel at every stop, on random draws with
+    knife edges and rescaled edges, at every horizon.  Tolerances at
+    rounding level leave every test to the kernel."""
+    tolerances = DEFAULT_TOLERANCES.replace(**overrides)
+    rng = np.random.default_rng(SEED + 7)
+    scans = 0
+    for signal in _undecided_signals(rng, count):
+        horizons = 2 * signal.partitions + 1 if signal.periodic else signal.partitions
+        for horizon in range(1, horizons + 1):
+            bounded, exact = _bounded_and_exact(signal, horizon, tolerances)
+            assert bounded == exact, (signal.segments, horizon)
+            scans += 1
+    assert scans > 10 * count
+
+
+@pytest.mark.parametrize("power", range(0, 21))
+def test_bounded_scan_matches_the_exact_scan_on_a_stiff_edge(demo_graphs, power):
+    """The demo with G2's edge (2,4) at ``diag(1, 2) * 10**power`` walks the
+    knife edge from 1e6 on; the bounds hand those tests to the kernel."""
+    signal = stiff_demo(demo_graphs, 10.0**power)
+    for horizon in range(1, 31):
+        bounded, exact = _bounded_and_exact(signal, horizon)
+        assert bounded == exact, horizon
+
+
+def test_bounded_scan_keeps_the_kernels_psd_check():
+    """Each weight is PSD within the definiteness tolerance, but their
+    negative eigenvalues add up along one direction: the kernel rejects the
+    sum of the first two segments as not PSD, and the bounds must not
+    certify that test open."""
+    dims = GraphDimensions(n=2, d=3)
+    dip = -0.9e-9
+    graphs = [
+        set_edge(new_graph(dims), 0, 1, np.diag([1.0, 0.0, dip])),
+        set_edge(new_graph(dims), 0, 1, np.diag([0.0, 1.0, dip])),
+    ]
+    signal = SwitchingSignal(graphs, [(0, 1.0), (1, 1.0), (0, 1.0)], 0.5, 2.0)
+    bounded, exact = _bounded_and_exact(signal, 3)
+    assert bounded == exact
+    assert bounded[0] is NotPositiveSemidefiniteError
+
+
+def test_scan_runs_the_kernel_once_when_every_bound_decides(
+    demo_graphs, demo_signal, monkeypatch
+):
+    calls = []
+    kernel = analysis.null_space_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "null_space_basis", counting)
+    necessary_condition_scan(demo_signal, 8)
+    assert len(calls) == 1
+    # at 1e6 an eigenvalue sits inside the band: the kernel decides it
+    calls.clear()
+    necessary_condition_scan(stiff_demo(demo_graphs, 1e6), 8)
+    assert len(calls) > 1
+
+
+def _exact_greedy_windows(signal, horizon, tolerances):
+    """The scan that runs the exact kernel at every stop, kept verbatim as
+    the reference for the bounded scan."""
+    windows = []
+    start = 0
+    while start < horizon:
+        accumulated = np.zeros((signal.dims.stacked, signal.dims.stacked))
+        for stop in range(start + 1, horizon + 1):
+            accumulated = accumulated + signal.segment_laplacian(stop - 1)
+            report = null_space_basis(accumulated, signal.dims, tolerances)
+            if report.equals_consensus:
+                break
+        else:
+            witness = _obstruction_witness(report, signal.dims)
+            obstruction = NullSpaceObstruction(window=(start, horizon), witness=witness)
+            return tuple(windows), obstruction
+        span = (signal.switch_time(start), signal.switch_time(stop))
+        windows.append(Window(start=start, stop=stop, span=span))
+        start = stop
+    return tuple(windows), None

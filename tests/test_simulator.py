@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -330,3 +331,45 @@ def test_trajectory_starting_at_consensus_passes_the_invariant_checks(
         trajectory = simulate(demo_signal, point + shift, 60.0, 0.5)
         assert trajectory.lyapunov[0] == 0.0
         assert np.max(np.diff(trajectory.lyapunov)) > 0.0  # rounding rises
+
+
+@pytest.mark.parametrize(
+    "step, tolerances, code",
+    [
+        ([], None, 2),
+        (["7e-4"], None, 2),
+        (["6e-4"], None, 3),
+        (["6e-4"], {"oracle_deviation": 0.2}, 0),
+    ],
+    ids=["default-step", "just-unstable", "stable-inaccurate", "stable"],
+)
+def test_unstable_oracle_step_is_a_model_error(
+    scenario_path, tmp_path, capsys, step, tolerances, code
+):
+    """G2's edge (2,4) at ``diag(1e3, 2e3)`` gives its Laplacian
+    ``lambda_max = 4000``, so RK4 is stable up to a step of 2.785 / 4000 =
+    6.96e-4.  A longer step is rejected before it is taken (exit 2, naming
+    the step, the segment and the largest stable step) instead of
+    overflowing to a NaN deviation; a stable one runs, and its deviation is
+    judged against ``oracle_deviation`` as usual."""
+    data = json.loads(scenario_path.read_text())
+    data["graphs"]["G2"][0]["weight"] = [1e3, 0, 0, 2e3]
+    if tolerances is not None:
+        data["tolerances"] = tolerances
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "t.csv"
+    argv = ["simulate", str(path), "--t-end", "6", "--sample-dt", "0.7", "--oracle"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        assert cli.main(argv + step + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        used = float(step[0]) if step else 1e-3
+        assert f"RK4 step {used!r} is unstable on segment 1" in err
+        assert "largest stable step there is 6.963e-04" in err
+        assert not out.exists()
+    else:
+        assert "nan" not in err
+        assert out.exists()
