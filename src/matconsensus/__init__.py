@@ -86,7 +86,6 @@ from .spectral import (
     symmetric_eigen,
 )
 from .switching import (
-    IntegralNetwork,
     SwitchingSignal,
     build_periodic_signal,
     integral_network,
@@ -111,7 +110,6 @@ __all__ = [
     "IndefiniteWeightError",
     "IndexOrderError",
     "IndexOutOfRangeError",
-    "IntegralNetwork",
     "InvalidSignalError",
     "MatrixWeightedGraph",
     "ModelError",

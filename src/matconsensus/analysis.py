@@ -41,7 +41,7 @@ from .spectral import (
     null_space_basis,
     symmetric_eigen,
 )
-from .switching import IntegralNetwork, SwitchingSignal, integral_network
+from .switching import SwitchingSignal, integral_network
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -109,7 +109,7 @@ def contraction_factor(
 
 
 def positive_spanning_tree(
-    network: MatrixWeightedGraph | IntegralNetwork,
+    graph: MatrixWeightedGraph,
 ) -> tuple[bool, tuple[Edge, ...]]:
     """Search for a spanning tree using only positive-definite edges.
 
@@ -118,13 +118,7 @@ def positive_spanning_tree(
     exists the edges of the largest positive-definite forest found are
     returned instead.
     """
-    if isinstance(network, MatrixWeightedGraph):
-        classified = {
-            pair: weight.definiteness for pair, weight in network.edges.items()
-        }
-    else:
-        classified = dict(network.edges)
-    n = network.dims.n
+    n = graph.dims.n
     parent = list(range(n))  # disjoint-set forest of the accepted edges
 
     def find(x: int) -> int:
@@ -134,8 +128,8 @@ def positive_spanning_tree(
         return x
 
     accepted: list[Edge] = []
-    for pair in sorted(classified):
-        if classified[pair] is Definiteness.POSITIVE_DEFINITE:
+    for pair in sorted(graph.edges):
+        if graph.edges[pair].definiteness is Definiteness.POSITIVE_DEFINITE:
             root_i, root_j = find(pair[0]), find(pair[1])
             if root_i != root_j:
                 parent[root_j] = root_i
@@ -382,13 +376,13 @@ def periodic_consensus_verdict(
         raise InvalidSignalError(
             "periodic_consensus_verdict requires a periodic signal"
         )
-    network = integral_network(signal, 0.0, signal.period, tolerances)
-    report = null_space_basis(network.avg_laplacian, signal.dims, tolerances)
+    averaged, avg_laplacian = integral_network(signal, 0.0, signal.period, tolerances)
+    report = null_space_basis(avg_laplacian, signal.dims, tolerances)
     if report.equals_consensus:
         certificates: list[Certificate] = [
-            NullSpaceMatch(span=network.span, dimension=report.dimension)
+            NullSpaceMatch(span=(0.0, signal.period), dimension=report.dimension)
         ]
-        has_tree, tree_edges = positive_spanning_tree(network)
+        has_tree, tree_edges = positive_spanning_tree(averaged)
         if has_tree:
             certificates.append(PositiveSpanningTree(edges=tree_edges))
         return Verdict(Decision.CONSENSUS, tuple(certificates))
@@ -437,9 +431,10 @@ def sufficient_condition_certificate(
     For each window the scan closed, the transition matrix is formed and
     its contraction factor computed.  If the windows tile the scan's
     horizon exactly (the scan is INCONCLUSIVE rather than NO_CONSENSUS)
-    and every factor is at most ``q_threshold``, the disagreement shrinks
-    geometrically across windows and consensus is certified.  Otherwise
-    the verdict is INCONCLUSIVE, reporting the windows with their factors.
+    and every factor is at most ``q_threshold`` and below ``1 -
+    tolerances.mu_gap``, the disagreement shrinks geometrically across
+    windows and consensus is certified.  Otherwise the verdict is
+    INCONCLUSIVE, reporting the windows with their factors.
     """
     if not (0.0 < q_threshold < 1.0):
         raise BadThresholdError(
@@ -451,14 +446,14 @@ def sufficient_condition_certificate(
     if exhausted is None:
         raise TypeError("scan must be a verdict of necessary_condition_scan")
     measured: list[Window] = []
+    uniform = scan.decision is Decision.INCONCLUSIVE
     for window in exhausted.windows:
         phi = transition_matrix(signal, window.start, window.stop)
         factor = contraction_factor(phi, signal.dims, tolerances)
         measured.append(replace(window, mu_next=factor.mu_next))
+        uniform = uniform and factor.contracts and factor.mu_next <= q_threshold
     horizon = exhausted.horizon
-    if scan.decision is Decision.INCONCLUSIVE and all(
-        window.mu_next <= q_threshold for window in measured
-    ):
+    if uniform:
         return Verdict(
             Decision.CONSENSUS,
             (UniformContraction(threshold=q_threshold, windows=tuple(measured)),),

@@ -250,18 +250,18 @@ def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any
         span = (float(args.span[0]), float(args.span[1]))
     else:
         span = (0.0, signal.period)  # one period, or the whole finite signal
-    network = integral_network(signal, span[0], span[1], tolerances)
-    null = null_space_basis(network.avg_laplacian, scenario.dims, tolerances)
-    has_tree, tree_edges = positive_spanning_tree(network)
+    averaged, avg_laplacian = integral_network(signal, span[0], span[1], tolerances)
+    null = null_space_basis(avg_laplacian, scenario.dims, tolerances)
+    has_tree, tree_edges = positive_spanning_tree(averaged)
     integral_doc = {
         "span": [span[0], span[1]],
         "edges": [
             {
                 "nodes": _edge_name(pair),
-                "definiteness": network.edges[pair].value,
-                "weight": [float(x) for x in network.adjacency_blocks[pair].flat],
+                "definiteness": averaged.edges[pair].definiteness.value,
+                "weight": [float(x) for x in averaged.edges[pair].entries.flat],
             }
-            for pair in sorted(network.edges)
+            for pair in sorted(averaged.edges)
         ],
         "null_space_dimension": null.dimension,
         "equals_consensus": null.equals_consensus,

@@ -6,6 +6,8 @@ Nodes are indexed ``0..n-1``; each node carries a state vector of dimension
 positive definite or positive semi-definite — zero or indefinite weights are
 rejected at construction time, so "no entry" is the only encoding of "no
 edge".  Graph values are immutable: :func:`set_edge` returns a new graph.
+The integral network is such a graph too: its averaged weights are built
+directly and keep whatever non-zero class they are given.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ class GraphDimensions:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """A validated edge weight: symmetric and PD or PSD."""
+    """An edge weight and its class: symmetric and PD or PSD from
+    :func:`set_edge`; an averaged weight keeps whatever non-zero class it
+    is given."""
 
     entries: NDArray[np.float64]
     definiteness: Definiteness

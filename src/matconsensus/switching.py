@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,7 +33,7 @@ from .errors import (
     TimeOutOfRangeError,
     TooFewPartitionsError,
 )
-from .graphs import Edge, GraphDimensions, MatrixWeightedGraph, laplacian
+from .graphs import Edge, GraphDimensions, MatrixWeightedGraph, WeightMatrix, laplacian
 from .spectral import (
     Definiteness,
     classify_definiteness,
@@ -274,38 +272,19 @@ def build_periodic_signal(
     return signal
 
 
-@dataclass(frozen=True)
-class IntegralNetwork:
-    """Time-average of the switching network over a span ``[t_start, t_end)``.
-
-    ``adjacency_blocks`` holds the averaged ``d x d`` adjacency block for
-    every node pair that is an edge in at least one contributing segment;
-    ``edges`` classifies the pairs whose averaged block is non-zero.  Blocks
-    present in ``adjacency_blocks`` but absent from ``edges`` averaged to
-    (numerically) zero.  ``avg_laplacian`` is the equal-weight time average
-    of the segment Laplacians over the span.
-    """
-
-    dims: GraphDimensions
-    span: tuple[float, float]
-    adjacency_blocks: Mapping[Edge, NDArray[np.float64]]
-    edges: Mapping[Edge, Definiteness]
-    avg_laplacian: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "adjacency_blocks", MappingProxyType(dict(self.adjacency_blocks))
-        )
-        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
-
-
 def integral_network(
     signal: SwitchingSignal,
     t_start: float,
     t_end: float,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> IntegralNetwork:
+) -> tuple[MatrixWeightedGraph, NDArray[np.float64]]:
     """Average the switching network over ``[t_start, t_end)``.
+
+    Returns ``(averaged, avg_laplacian)``.  ``averaged`` is the
+    matrix-weighted graph whose edge weights are the segments' weights
+    averaged over the span; a pair whose averaged block classifies as zero
+    is no edge.  ``avg_laplacian`` is the read-only time average of the
+    segment Laplacians, accumulated segment by segment.
 
     Overlap durations between the span and the segments are computed exactly
     with rational arithmetic, so the weights sum to one and spans aligned
@@ -331,19 +310,13 @@ def integral_network(
                 blocks[pair] = weight * edge_weight.entries
         avg_lap = avg_lap + weight * signal.segment_laplacian(k)
 
-    edges: dict[Edge, Definiteness] = {}
+    edges: dict[Edge, WeightMatrix] = {}
     for pair in sorted(blocks):
         blocks[pair].setflags(write=False)
         kind = classify_definiteness(blocks[pair], tolerances)
         if kind is not Definiteness.ZERO:
-            edges[pair] = kind
+            edges[pair] = WeightMatrix(entries=blocks[pair], definiteness=kind)
 
     avg_lap.setflags(write=False)
-    return IntegralNetwork(
-        dims=signal.dims,
-        span=(float(t_start), float(t_end)),
-        adjacency_blocks={pair: blocks[pair] for pair in sorted(blocks)},
-        edges=edges,
-        avg_laplacian=avg_lap,
-    )
+    return MatrixWeightedGraph(dims=signal.dims, edges=edges), avg_lap
 

@@ -34,8 +34,8 @@ class Tolerances:
         How far below zero an eigenvalue may dip before a matrix expected to
         be PSD is rejected.
     mu_gap:
-        Margin below 1 required before a contraction factor counts as an
-        actual contraction.
+        Margin below 1 that every window's contraction factor needs before
+        the sufficient certificate counts it as a contraction.
     monotonicity:
         Largest rise of the disagreement ``V`` between samples that
         ``simulate`` accepts, relative to ``max(V(0), max(1, max|mean(0)|)**2)``.

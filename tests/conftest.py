@@ -169,10 +169,10 @@ def _decisively_classified(signal: SwitchingSignal) -> bool:
     count = signal.segment_count
     for start in range(count):
         for stop in range(start + 1, count + 1):
-            network = integral_network(
+            _, avg_laplacian = integral_network(
                 signal, signal.switch_time(start), signal.switch_time(stop)
             )
-            eigs = np.linalg.eigvalsh(network.avg_laplacian)
+            eigs = np.linalg.eigvalsh(avg_laplacian)
             cutoff = DEFAULT_TOLERANCES.null_space * max(1.0, float(eigs[-1]))
             if np.any((eigs >= cutoff * 1e-3) & (eigs <= cutoff * 1e3)):
                 return False

@@ -90,7 +90,7 @@ def test_acceptance_2_laplacian_fixtures(demo_graphs):
 def test_acceptance_3_null_space_checks(scenario, dims4x2):
     singles_not_consensus = []
     matrices = [LAP_A, LAP_B, LAP_C]
-    averaged = integral_network(scenario.signal, 0.0, 6.0).avg_laplacian
+    averaged = integral_network(scenario.signal, 0.0, 6.0)[1]
     for matrix in matrices:
         singles_not_consensus.append(
             not null_space_basis(matrix, dims4x2, scenario.tolerances).equals_consensus
@@ -118,8 +118,8 @@ def test_acceptance_3_null_space_checks(scenario, dims4x2):
 
 
 def test_acceptance_4_positive_spanning_tree(scenario, demo_graphs):
-    network = integral_network(scenario.signal, 0.0, 6.0)
-    exists, edges = positive_spanning_tree(network)
+    averaged, _ = integral_network(scenario.signal, 0.0, 6.0)
+    exists, edges = positive_spanning_tree(averaged)
     tree_ok = exists and edges == ((0, 1), (1, 2), (1, 3))
     singles_ok = all(
         not positive_spanning_tree(graph)[0] for graph in demo_graphs
@@ -163,7 +163,7 @@ def test_acceptance_5_contraction_equivalence(random_instances):
     for signal in random_instances:
         for start, stop in _windows_of(signal, rng):
             t0, t1 = signal.switch_time(start), signal.switch_time(stop)
-            averaged = integral_network(signal, t0, t1).avg_laplacian
+            averaged = integral_network(signal, t0, t1)[1]
             agrees = null_space_basis(averaged, signal.dims).equals_consensus
             contracts = contraction_factor(
                 transition_matrix(signal, start, stop), signal.dims
@@ -188,7 +188,7 @@ def test_acceptance_6_null_space_intersection(random_instances):
     for signal in random_instances:
         for start, stop in _windows_of(signal, rng):
             t0, t1 = signal.switch_time(start), signal.switch_time(stop)
-            averaged = integral_network(signal, t0, t1).avg_laplacian
+            averaged = integral_network(signal, t0, t1)[1]
             by_average = null_space_basis(averaged, signal.dims).equals_consensus
             by_sum = _consensus_by_sum(signal, start, stop)
             checks += 1

@@ -109,8 +109,8 @@ def test_contraction_factor_spectral_mapping():
 
 
 def test_positive_spanning_tree_on_integral_network(demo_signal):
-    network = integral_network(demo_signal, 0.0, 6.0)
-    exists, edges = positive_spanning_tree(network)
+    averaged, _ = integral_network(demo_signal, 0.0, 6.0)
+    exists, edges = positive_spanning_tree(averaged)
     assert exists
     assert edges == ((0, 1), (1, 2), (1, 3))
 

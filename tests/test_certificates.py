@@ -88,11 +88,11 @@ def _audit_windows(signal, windows, horizon, obstruction, tolerances):
 def _audit_tree(signal, edges):
     """``n - 1`` edges, positive definite in the period's averaged network,
     that connect every node."""
-    network = integral_network(signal, 0.0, signal.period)
+    averaged, _ = integral_network(signal, 0.0, signal.period)
     assert len(edges) == signal.dims.n - 1
     component = list(range(signal.dims.n))
     for i, j in edges:
-        block = network.adjacency_blocks[(i, j)]
+        block = averaged.edges[(i, j)].entries
         assert classify_definiteness(block) is Definiteness.POSITIVE_DEFINITE
         old, new = component[j], component[i]
         component = [new if c == old else c for c in component]
@@ -134,7 +134,7 @@ def audit(signal, horizon, tolerances=DEFAULT_TOLERANCES):
     # the paper's theorem: a positive spanning tree of the period's averaged
     # network implies consensus
     has_tree, edges = positive_spanning_tree(
-        integral_network(signal, 0.0, signal.period, tolerances)
+        integral_network(signal, 0.0, signal.period, tolerances)[0]
     )
     if has_tree:
         _audit_tree(signal, edges)

@@ -128,6 +128,24 @@ def test_analyze_span_single_segment(fixture_path, capsys):
     assert not integral["positive_spanning_tree"]["exists"]
 
 
+def test_analyze_span_drops_zero_slivers(fixture_path, capsys):
+    """A span end one rounding step past the first switch lists only G1's
+    edges: the next segment's blocks average to zero over the overlap."""
+    argv = ["analyze", str(fixture_path), "--span", "0", "2.0000000000000004"]
+    assert main(argv + ["--format", "json"]) == 0
+    integral = json.loads(capsys.readouterr().out)["integral"]
+    assert [e["nodes"] for e in integral["edges"]] == [[1, 2], [2, 3]]
+
+
+def test_analyze_certifies_only_beyond_mu_gap(fixture_path, capsys):
+    """The first window contracts to mu = 0.675 <= q = 0.99, but not below
+    1 - mu_gap = 0.5, so the sufficient certificate is inconclusive."""
+    edit_fixture(fixture_path, lambda data: data.update(tolerances={"mu_gap": 0.5}))
+    assert main(["analyze", str(fixture_path)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict sufficient_certificate (horizon 8): inconclusive" in out
+
+
 def test_analyze_no_consensus_witness(fixture_path, capsys):
     def line_only(data):
         data["signal"]["segments"] = [

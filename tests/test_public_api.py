@@ -81,3 +81,41 @@ def test_every_traced_name_exists():
     # read by the integral-network hook
     for name in ("segment_count", "segment_index_at", "switch_time"):
         assert hasattr(SwitchingSignal, name)
+
+
+def test_tracer_hooks_run_on_the_demo(tmp_path):
+    """The tracer's hooks read the package's results; one that reads a
+    removed attribute fails here, not only under ``perfbench/run.py
+    --trace 1``."""
+    tracer = _load_tracer().Tracer()
+    modules = {
+        name: importlib.import_module(f"matconsensus.{name}")
+        for name in ("cli", "graphs", "switching", "analysis", "simulator")
+    }
+    scenario = str(ROOT / "scenarios" / "four_agent_periodic.json")
+    commands = {
+        "analyze": ["analyze", scenario, "--format", "json"],
+        "simulate": [
+            "simulate", scenario, "--t-end", "6", "--sample-dt", "1.0",
+            "--oracle", "--out", str(tmp_path / "trajectory.csv"),
+        ],
+    }
+    with tracer.installed(modules):
+        for command, argv in commands.items():
+            with tracer.invocation(command):
+                assert modules["cli"].main(argv) == 0
+    spans = {span.name for record in tracer.invocations for span in record.spans}
+    assert {
+        "switching.integral_network",
+        "analysis.periodic_verdict",
+        "analysis.transition",
+        "simulator.rk4",
+    } <= spans
+    counters = [record.counters for record in tracer.invocations]
+    for name in (
+        "switching.integral_segments",
+        "analysis.windows_closed",
+        "analysis.transition_segments",
+        "simulator.rk4_steps",
+    ):
+        assert sum(c.get(name, 0) for c in counters) > 0, name

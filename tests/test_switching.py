@@ -171,37 +171,44 @@ def test_too_few_partitions_checked_after_dwell_bounds(demo_graphs):
 
 def test_integral_network_single_segment_is_exact(demo_graphs, demo_signal):
     """A span covering exactly one segment reproduces that graph bit for bit."""
-    network = integral_network(demo_signal, 0.0, 2.0)
+    averaged, avg_laplacian = integral_network(demo_signal, 0.0, 2.0)
     graph = demo_graphs[0]
-    assert sorted(network.edges) == sorted(graph.edges)
+    assert sorted(averaged.edges) == sorted(graph.edges)
     for pair, weight in graph.edges.items():
-        assert np.array_equal(network.adjacency_blocks[pair], weight.entries)
-    assert np.array_equal(network.avg_laplacian, LAP_A)
+        assert np.array_equal(averaged.edges[pair].entries, weight.entries)
+        assert averaged.edges[pair].definiteness is weight.definiteness
+    assert np.array_equal(avg_laplacian, LAP_A)
+
+
+def test_integral_network_drops_zero_slivers(demo_graphs, demo_signal):
+    """A span end one rounding step past the first switch overlaps the next
+    segment by about 4e-16; its pairs (1,3) and (2,3) average to about
+    2e-16 W, classify as zero and are no edges of the averaged graph."""
+    averaged, _ = integral_network(demo_signal, 0.0, 2.0000000000000004)
+    assert sorted(averaged.edges) == sorted(demo_graphs[0].edges)
 
 
 def test_integral_network_over_period(demo_signal, dims4x2):
-    network = integral_network(demo_signal, 0.0, 6.0)
-    assert sorted(network.edges) == [(0, 1), (1, 2), (1, 3), (2, 3)]
-    assert network.edges[(1, 2)] is Definiteness.POSITIVE_DEFINITE
-    assert network.edges[(2, 3)] is Definiteness.POSITIVE_SEMIDEFINITE
+    averaged, avg_laplacian = integral_network(demo_signal, 0.0, 6.0)
+    assert sorted(averaged.edges) == [(0, 1), (1, 2), (1, 3), (2, 3)]
+    assert averaged.edges[(1, 2)].definiteness is Definiteness.POSITIVE_DEFINITE
+    assert averaged.edges[(2, 3)].definiteness is Definiteness.POSITIVE_SEMIDEFINITE
     # averaged 2-3 block: (2/6) * ones + (1/6) * strong link
     expected = np.array([[1 / 2, 1 / 6], [1 / 6, 2 / 3]])
-    assert np.allclose(network.adjacency_blocks[(1, 2)], expected, atol=1e-15)
+    assert np.allclose(averaged.edges[(1, 2)].entries, expected, atol=1e-15)
     expected_lap = (2.0 * LAP_A + 3.0 * LAP_B + LAP_C) / 6.0
-    assert np.allclose(network.avg_laplacian, expected_lap, atol=1e-15)
-    report = null_space_basis(network.avg_laplacian, dims4x2)
+    assert np.allclose(avg_laplacian, expected_lap, atol=1e-15)
+    report = null_space_basis(avg_laplacian, dims4x2)
     assert report.dimension == 2
     assert report.equals_consensus
 
 
 def test_integral_network_periodicity(demo_signal):
     """Averaging over any whole period gives the same network."""
-    first = integral_network(demo_signal, 0.0, 6.0)
+    first, first_laplacian = integral_network(demo_signal, 0.0, 6.0)
     for start in (6.0, 12.0, 36.0):
-        shifted = integral_network(demo_signal, start, start + 6.0)
-        assert np.allclose(
-            shifted.avg_laplacian, first.avg_laplacian, atol=1e-14
-        )
+        shifted, shifted_laplacian = integral_network(demo_signal, start, start + 6.0)
+        assert np.allclose(shifted_laplacian, first_laplacian, atol=1e-14)
         assert sorted(shifted.edges) == sorted(first.edges)
 
 
@@ -211,20 +218,20 @@ def test_integral_network_additivity(demo_signal, rng):
         t0, t1, t2 = np.sort(rng.uniform(0.0, 18.0, size=3))
         if t1 - t0 < 1e-3 or t2 - t1 < 1e-3:
             continue
-        whole = (t2 - t0) * integral_network(demo_signal, t0, t2).avg_laplacian
-        parts = (t1 - t0) * integral_network(demo_signal, t0, t1).avg_laplacian + (
+        whole = (t2 - t0) * integral_network(demo_signal, t0, t2)[1]
+        parts = (t1 - t0) * integral_network(demo_signal, t0, t1)[1] + (
             t2 - t1
-        ) * integral_network(demo_signal, t1, t2).avg_laplacian
+        ) * integral_network(demo_signal, t1, t2)[1]
         assert np.max(np.abs(whole - parts)) <= 1e-12
 
 
 def test_integral_network_misaligned_span(demo_signal):
     """A span cutting through segments weights each by its overlap."""
-    network = integral_network(demo_signal, 1.0, 4.0)
+    averaged, avg_laplacian = integral_network(demo_signal, 1.0, 4.0)
     # one unit of the line graph, two units of the star graph
     expected = (LAP_A + 2.0 * LAP_B) / 3.0
-    assert np.allclose(network.avg_laplacian, expected, atol=1e-15)
-    assert sorted(network.edges) == [(0, 1), (1, 2), (1, 3), (2, 3)]
+    assert np.allclose(avg_laplacian, expected, atol=1e-15)
+    assert sorted(averaged.edges) == [(0, 1), (1, 2), (1, 3), (2, 3)]
 
 
 def test_integral_network_span_validation(demo_signal, demo_finite_signal):
@@ -244,13 +251,13 @@ def test_integral_weights_sum_to_one(rng):
     for _ in range(15):
         signal = random_signal(rng)
         total = signal.total_duration
-        network = integral_network(signal, 0.0, total)
-        expected = np.zeros_like(network.avg_laplacian)
+        _, avg_laplacian = integral_network(signal, 0.0, total)
+        expected = np.zeros_like(avg_laplacian)
         for k in range(signal.segment_count):
             expected = expected + (
                 signal.segments[k][1] / total
             ) * signal.segment_laplacian(k)
-        assert np.max(np.abs(network.avg_laplacian - expected)) <= 1e-12
+        assert np.max(np.abs(avg_laplacian - expected)) <= 1e-12
 
 
 def _overlapping_segments(signal, start, end):
@@ -326,10 +333,9 @@ def test_snap_to_end_accepts_rounding_past_a_finite_end(demo_graphs):
 
 def test_integral_network_snaps_its_span_end(demo_graphs):
     finite = SwitchingSignal(demo_graphs, THREE_SHORT, 0.1, 1.0)
-    network = integral_network(finite, 0.0, 0.9)
+    _, avg_laplacian = integral_network(finite, 0.0, 0.9)
     expected = (LAP_A + LAP_B + LAP_C) / 3.0
-    assert np.allclose(network.avg_laplacian, expected, atol=1e-15)
-    assert network.span == (0.0, 0.9)
+    assert np.allclose(avg_laplacian, expected, atol=1e-15)
     with pytest.raises(TimeOutOfRangeError, match="span end 0.91 exceeds"):
         integral_network(finite, 0.0, 0.91)
 
