@@ -4,14 +4,18 @@
 Within each segment the Laplacian is constant and symmetric, so states are
 propagated exactly (to eigensolver accuracy) through the cached spectral
 decomposition — no time-stepping error accumulates and switch instants are
-honoured exactly.  A classical fixed-step Runge-Kutta integrator that never
-steps across a switch instant is provided as an independent reference.
+honoured exactly.  One exact walker produces these states, for ``simulate``'s
+samples and for the oracle's comparison alike.  A classical fixed-step
+Runge-Kutta integrator that never steps across a switch instant is provided
+as an independent reference; the oracle compares it with the exact walker
+block by block, holding one copy of the reference nodes.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,33 +109,63 @@ def _check_step(t_end: float, step: float, what: str) -> None:
         raise ModelError(f"{what} {step} is too fine to count up to t_end {t_end}")
 
 
-def _states_at(
-    signal: SwitchingSignal, x0: NDArray[np.float64], times: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Exact states at the given ascending times.
+def _exact_states(
+    signal: SwitchingSignal,
+    x0: NDArray[np.float64],
+    times: NDArray[np.float64],
+    rows: int,
+) -> Iterator[NDArray[np.float64]]:
+    """Exact states at the given ascending times, yielded in consecutive
+    blocks of ``rows`` states (the last block may be shorter).
 
-    Walks the segments once; the running state is advanced across each
-    switch with the cached full-segment exponential, and intra-segment
-    samples use the cached eigensystem directly.  Samples past the end of a
-    finite signal take its final state.
+    This is the one exact walker: ``simulate`` takes its whole trajectory as
+    a single block, the oracle compares block by block.  It walks the
+    segments lazily; the running state is advanced across each switch with
+    the cached full-segment exponential.  Within a segment the eigensystem
+    is fetched, and the running state projected onto it, once; each sample
+    then costs one elementwise decay and one matrix-vector product.  Samples
+    past the end of a finite signal take its final state.
+
+    One block buffer is reused: a block is the caller's (it may overwrite
+    it) only until the next one is requested.
     """
-    states = np.empty((len(times), x0.shape[0]))
+    block = np.empty((min(rows, len(times)), x0.shape[0]))
+    decay = np.empty(x0.shape[0])
     current = x0.copy()
-    i = 0
+    i = filled = 0
     for k, t_k, t_next in signal.segments_between(0, times[-1]):
         seg_start, seg_end = float(t_k), float(t_next)
+        coefficients = None
         while i < len(times) and times[i] < seg_end:
             delta = times[i] - seg_start
             if delta == 0.0:
-                states[i] = current
+                block[filled] = current
             else:
-                values, vectors = signal.segment_eigensystem(k)
-                states[i] = vectors @ (np.exp(-values * delta) * (vectors.T @ current))
+                if coefficients is None:
+                    values, vectors = signal.segment_eigensystem(k)
+                    rates = -values
+                    coefficients = vectors.T @ current
+                np.multiply(rates, delta, out=decay)
+                np.exp(decay, out=decay)
+                np.multiply(decay, coefficients, out=decay)
+                np.matmul(vectors, decay, out=block[filled])
             i += 1
+            filled += 1
+            if filled == len(block):
+                yield block
+                filled = 0
         if i < len(times):
             current = signal.segment_exponential(k) @ current
-    states[i:] = current
-    return states
+    while i < len(times):
+        count = min(len(block) - filled, len(times) - i)
+        block[filled : filled + count] = current
+        i += count
+        filled += count
+        if filled == len(block):
+            yield block
+            filled = 0
+    if filled:
+        yield block[:filled]
 
 
 def _sample_times(
@@ -211,7 +245,7 @@ def simulate(
     trajectory = Trajectory(
         dims=signal.dims,
         times=times,
-        states=_states_at(signal, state, times),
+        states=next(_exact_states(signal, state, times, len(times))),
         consensus_point=average_consensus_point(state, signal.dims),
     )
     lyapunov = trajectory.lyapunov
@@ -230,13 +264,42 @@ RK4_STABILITY_LIMIT = 2.785
 
 
 def _rk4_step(
-    lap: NDArray[np.float64], state: NDArray[np.float64], h: float
-) -> NDArray[np.float64]:
-    k1 = -(lap @ state)
-    k2 = -(lap @ (state + 0.5 * h * k1))
-    k3 = -(lap @ (state + 0.5 * h * k2))
-    k4 = -(lap @ (state + h * k3))
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    lap: NDArray[np.float64],
+    state: NDArray[np.float64],
+    h: float,
+    out: NDArray[np.float64],
+    work: NDArray[np.float64],
+) -> None:
+    """One classical RK4 step of ``x' = -L x`` from ``state`` into ``out``.
+
+    ``work`` is a ``(5, n*d)`` scratch array.  The ufuncs run in the order
+    of the textbook expression
+    ``state + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with
+    ``k2 = -(L @ (state + (0.5 * h) * k1))`` and so on, so every node has
+    the bits that expression gives; only the temporaries are reused.
+    """
+    k1, k2, k3, k4, stage = work
+    np.matmul(lap, state, out=k1)
+    np.negative(k1, out=k1)
+    np.multiply(0.5 * h, k1, out=stage)
+    np.add(state, stage, out=stage)
+    np.matmul(lap, stage, out=k2)
+    np.negative(k2, out=k2)
+    np.multiply(0.5 * h, k2, out=stage)
+    np.add(state, stage, out=stage)
+    np.matmul(lap, stage, out=k3)
+    np.negative(k3, out=k3)
+    np.multiply(h, k3, out=stage)
+    np.add(state, stage, out=stage)
+    np.matmul(lap, stage, out=k4)
+    np.negative(k4, out=k4)
+    np.multiply(2.0, k2, out=k2)
+    np.add(k1, k2, out=k1)
+    np.multiply(2.0, k3, out=k3)
+    np.add(k1, k3, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(h / 6.0, k1, out=k1)
+    np.add(state, k1, out=out)
 
 
 def _check_stable_step(signal: SwitchingSignal, k: int, step: float) -> None:
@@ -257,52 +320,94 @@ def rk4_reference(
     The integrator never steps across a switch instant: each segment is
     covered by full steps of ``step`` plus one shorter step to land exactly
     on the segment boundary (or on ``t_end``).  Every integration node is
-    recorded, so the result doubles as a dense reference trajectory.
+    recorded, so the result doubles as a dense reference trajectory; its
+    states are one preallocated ``(nodes + 1, n*d)`` array, written in
+    place step by step, and nothing else of that size is held.
 
     A segment on which the largest step taken, times the largest eigenvalue
     of its Laplacian, exceeds ``RK4_STABILITY_LIMIT`` raises
-    :class:`ModelError` before any step: the reference would diverge on its
-    own there.
+    :class:`ModelError` before the first step is taken: the reference would
+    diverge on its own there.  So does a node count whose states cannot be
+    allocated.
     """
     _check_horizon_time(signal, t_end)
     _check_step(t_end, step, "step")
     state = _stacked_state(x0, signal.dims)
 
-    times = [0.0]
-    states = [state]
-    seg_start = 0.0
+    # (laplacian, segment start, segment end, full steps, final short step)
+    plan: list[tuple[NDArray[np.float64], float, float, int, float | None]] = []
+    nodes = 0
+    last = seg_start = 0.0
     for k, _, t_next in signal.segments_between(0, t_end):
         seg_end = min(float(t_next), t_end)
         span = seg_end - seg_start
         lap = signal.segment_laplacian(k)
         _check_stable_step(signal, k, min(step, span))
         full = int(math.floor(span / step + 1e-12))
-        current = states[-1]
-        for i in range(full):
-            current = _rk4_step(lap, current, step)
-            times.append(seg_start + (i + 1) * step)
-            states.append(current)
-        remainder = seg_end - times[-1]
+        if full:
+            last = seg_start + full * step
+        remainder: float | None = seg_end - last
         if remainder > 1e-12 * max(1.0, span):
-            current = _rk4_step(lap, current, remainder)
-            times.append(seg_end)
-            states.append(current)
+            last = seg_end
+        else:
+            remainder = None
+        plan.append((lap, seg_start, seg_end, full, remainder))
+        nodes += full + (remainder is not None)
         seg_start = seg_end
+
+    try:
+        times = np.empty(nodes + 1)
+        states = np.empty((nodes + 1, state.shape[0]))
+    except MemoryError as error:
+        raise ModelError(
+            f"RK4 step {step!r} takes {nodes} steps up to t_end {t_end}, "
+            "more reference states than fit in memory"
+        ) from error
+    times[0] = 0.0
+    states[0] = state
+    work = np.empty((5, state.shape[0]))
+    j = 0
+    for lap, seg_start, seg_end, full, remainder in plan:
+        for i in range(1, full + 1):
+            _rk4_step(lap, states[j], step, states[j + 1], work)
+            j += 1
+            times[j] = seg_start + i * step
+        if remainder is not None:
+            _rk4_step(lap, states[j], remainder, states[j + 1], work)
+            j += 1
+            times[j] = seg_end
 
     return Trajectory(
         dims=signal.dims,
-        times=np.array(times),
-        states=np.array(states),
+        times=times,
+        states=states,
         consensus_point=average_consensus_point(state, signal.dims),
     )
+
+
+# Rows of exact states compared with the reference at a time.
+_ORACLE_BLOCK_ROWS = 256
 
 
 def max_oracle_deviation(
     signal: SwitchingSignal, x0: NDArray[np.float64], t_end: float, step: float
 ) -> float:
     """Largest entrywise gap between exact propagation and the Runge-Kutta
-    reference, taken over all reference nodes in ``[0, t_end]``."""
+    reference, taken over all reference nodes in ``[0, t_end]``.
+
+    The exact states come from the one exact walker in blocks of
+    ``_ORACLE_BLOCK_ROWS`` rows, each compared with the reference and
+    dropped, so the reference trajectory is the only array whose size grows
+    with the number of nodes.  A NaN gap anywhere makes the result NaN.
+    """
     reference = rk4_reference(signal, x0, t_end, step)
-    state = _stacked_state(x0, signal.dims)
-    exact = _states_at(signal, state, reference.times)
-    return float(np.max(np.abs(reference.states - exact)))
+    x0 = reference.states[0]  # the validated, stacked initial state
+    worst = np.float64(0.0)
+    start = 0
+    for block in _exact_states(signal, x0, reference.times, _ORACLE_BLOCK_ROWS):
+        stop = start + len(block)
+        np.subtract(reference.states[start:stop], block, out=block)
+        np.abs(block, out=block)
+        worst = np.maximum(worst, np.max(block))  # NaN stays NaN
+        start = stop
+    return float(worst)

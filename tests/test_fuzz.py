@@ -3,8 +3,9 @@
 Every mutation replaces a leaf, deletes a key, adds an unknown key, swaps
 a value's type or scales one edge weight by a power of ten.  Whatever the
 document, ``validate``, ``analyze`` and ``simulate`` must end with a
-documented exit code (0, 1 or 2) and no traceback, and a CSV written on
-success must hold only finite numbers.
+documented exit code (0, 1 or 2; 3 too for the ``--oracle`` cross-check)
+and no traceback, a CSV written on success must hold only finite numbers,
+and an oracle deviation must be printed as a float, finite on success.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ COMMANDS = (
     ["validate"],
     ["analyze", "--horizon", "8"],
     ["simulate", "--t-end", "6", "--sample-dt", "0.5"],
+    ["simulate", "--t-end", "6", "--sample-dt", "0.5", "--oracle", "0.01"],
 )
 
 
@@ -154,10 +156,19 @@ def test_mutated_scenarios_end_cleanly(mutations):
         path.write_text(json.dumps(doc))
         for command in COMMANDS:
             code, out, err = _run(path, command)
-            assert code in (0, 1, 2), (command, err)
+            oracle = "--oracle" in command
+            assert code in ((0, 1, 2, 3) if oracle else (0, 1, 2)), (command, err)
             assert "Traceback" not in err
             if command[0] == "simulate" and code == 0:
                 rows = out.splitlines()[1:]
                 assert rows
                 for row in rows:
                     assert all(math.isfinite(float(cell)) for cell in row.split(","))
+            if oracle and code in (0, 3):
+                # the CSV goes to stdout, so the summary goes to stderr
+                line = next(
+                    line for line in err.splitlines()
+                    if line.startswith("oracle max deviation: ")
+                )
+                deviation = float(line.split(": ", 1)[1])
+                assert math.isfinite(deviation) or code == 3, line

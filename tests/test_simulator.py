@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,8 +24,15 @@ from matconsensus import (
     set_edge,
     simulate,
 )
-from matconsensus import cli
-from conftest import LAP_A, X0
+from matconsensus import cli, simulator
+from matconsensus.simulator import (
+    Trajectory,
+    _check_horizon_time,
+    _check_stable_step,
+    _check_step,
+    _stacked_state,
+)
+from conftest import DEMO_SEGMENTS, LAP_A, SEED, X0, random_graph
 
 THREE_SHORT = [(0, 0.3), (1, 0.3), (2, 0.3)]
 
@@ -373,3 +381,246 @@ def test_unstable_oracle_step_is_a_model_error(
     else:
         assert "nan" not in err
         assert out.exists()
+
+
+# -- the oracle before it streamed, kept verbatim (only renamed) as the
+# bit-level reference: a list of RK4 states, a full exact-state array, and
+# the eigensystem and projection fetched again for every sample --
+
+
+def _reference_states_at(signal, x0, times):
+    states = np.empty((len(times), x0.shape[0]))
+    current = x0.copy()
+    i = 0
+    for k, t_k, t_next in signal.segments_between(0, times[-1]):
+        seg_start, seg_end = float(t_k), float(t_next)
+        while i < len(times) and times[i] < seg_end:
+            delta = times[i] - seg_start
+            if delta == 0.0:
+                states[i] = current
+            else:
+                values, vectors = signal.segment_eigensystem(k)
+                states[i] = vectors @ (np.exp(-values * delta) * (vectors.T @ current))
+            i += 1
+        if i < len(times):
+            current = signal.segment_exponential(k) @ current
+    states[i:] = current
+    return states
+
+
+def _reference_rk4_step(lap, state, h):
+    k1 = -(lap @ state)
+    k2 = -(lap @ (state + 0.5 * h * k1))
+    k3 = -(lap @ (state + 0.5 * h * k2))
+    k4 = -(lap @ (state + h * k3))
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_rk4(signal, x0, t_end, step):
+    _check_horizon_time(signal, t_end)
+    _check_step(t_end, step, "step")
+    state = _stacked_state(x0, signal.dims)
+
+    times = [0.0]
+    states = [state]
+    seg_start = 0.0
+    for k, _, t_next in signal.segments_between(0, t_end):
+        seg_end = min(float(t_next), t_end)
+        span = seg_end - seg_start
+        lap = signal.segment_laplacian(k)
+        _check_stable_step(signal, k, min(step, span))
+        full = int(math.floor(span / step + 1e-12))
+        current = states[-1]
+        for i in range(full):
+            current = _reference_rk4_step(lap, current, step)
+            times.append(seg_start + (i + 1) * step)
+            states.append(current)
+        remainder = seg_end - times[-1]
+        if remainder > 1e-12 * max(1.0, span):
+            current = _reference_rk4_step(lap, current, remainder)
+            times.append(seg_end)
+            states.append(current)
+        seg_start = seg_end
+
+    return Trajectory(
+        dims=signal.dims,
+        times=np.array(times),
+        states=np.array(states),
+        consensus_point=average_consensus_point(state, signal.dims),
+    )
+
+
+def _reference_deviation(signal, x0, t_end, step):
+    reference = _reference_rk4(signal, x0, t_end, step)
+    state = _stacked_state(x0, signal.dims)
+    exact = _reference_states_at(signal, state, reference.times)
+    return float(np.max(np.abs(reference.states - exact)))
+
+
+def _outcome(call):
+    """The call's result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except ModelError as error:
+        return type(error), str(error)
+
+
+def _oracle_cases(rng, count):
+    """Random finite and periodic signals with a ``(t_end, step)`` list
+    each: ``t_end`` on a switch, mid-segment and (finite) at the end, with
+    steps that divide the dwells or steps that do not, some beyond RK4's
+    stability limit."""
+    for index in range(count):
+        dims = GraphDimensions(n=int(rng.integers(2, 6)), d=int(rng.integers(1, 4)))
+        graphs = [random_graph(rng, dims) for _ in range(int(rng.integers(1, 4)))]
+        periodic = index % 2 == 1
+        dividing = index % 4 < 2
+        # dwells of whole eighths are divided exactly by the steps below
+        dwells = (
+            rng.integers(1, 9, size=int(rng.integers(3 if periodic else 1, 5))) / 8.0
+            if dividing
+            else rng.uniform(0.1, 1.5, size=int(rng.integers(3 if periodic else 1, 5)))
+        )
+        segments = [(int(rng.integers(0, len(graphs))), float(w)) for w in dwells]
+        signal = SwitchingSignal(graphs, segments, 0.05, 2.0, periodic=periodic)
+        horizon = 2 * signal.period if periodic else signal.period
+        k = int(rng.integers(1, 2 * len(segments) if periodic else len(segments) + 1))
+        ends = [signal.switch_time(k), float(rng.uniform(0.05, horizon))]
+        if not periodic:
+            ends.append(signal.total_duration)
+            ends.append(float(sum(dwells)))  # the end again, summed in float
+        steps = (
+            [1 / 32, 1 / 8]
+            if dividing
+            else [float(rng.uniform(0.01, 0.05)), float(rng.uniform(0.05, 0.6))]
+        )
+        x0 = rng.normal(size=dims.stacked)
+        yield signal, x0, [(t, steps[i % len(steps)]) for i, t in enumerate(ends)]
+
+
+def test_streamed_oracle_matches_the_reference_bit_for_bit():
+    """The preallocated RK4 reference and the block-wise exact walker give
+    the same times, the same state bits and the same deviation as the
+    list-building reference and the per-sample exact walk, or raise the
+    same error, on random finite and periodic signals."""
+    rng = np.random.default_rng(SEED + 9)
+    runs = unstable = 0
+    for signal, x0, cases in _oracle_cases(rng, 200):
+        for t_end, step in cases:
+            expected = _outcome(lambda: _reference_rk4(signal, x0, t_end, step))
+            actual = _outcome(lambda: rk4_reference(signal, x0, t_end, step))
+            if isinstance(expected, tuple):
+                assert actual == expected
+                assert _outcome(
+                    lambda: max_oracle_deviation(signal, x0, t_end, step)
+                ) == expected
+                unstable += 1
+                continue
+            assert actual.times.tolist() == expected.times.tolist()
+            assert np.array_equal(actual.states, expected.states)
+            assert max_oracle_deviation(signal, x0, t_end, step) == (
+                _reference_deviation(signal, x0, t_end, step)
+            )
+            runs += 1
+    assert runs >= 450 and unstable >= 20, (runs, unstable)
+
+
+def _near_duplicate_times(rng, signal, t_end):
+    """Ascending times with switch instants, their neighbouring floats and
+    pairs of instants one ulp apart."""
+    instants = [float(t) for _, t, _ in signal.segments_between(0, t_end)]
+    times = {0.0, t_end, *rng.uniform(0.0, t_end, size=12).tolist()}
+    for t in instants + rng.uniform(0.0, t_end, size=4).tolist():
+        times.update({t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)})
+    return np.array(sorted(t for t in times if 0.0 <= t <= t_end))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 256])
+def test_exact_walker_matches_the_reference_walk(rows):
+    """Exact states from the one walker, in blocks of any size, equal the
+    per-sample walk's bits on ``simulate``'s sample grids (near-duplicate
+    ticks merged) and on grids with instants one ulp apart."""
+    rng = np.random.default_rng(SEED + 10)
+    grids = 0
+    for signal, x0, cases in _oracle_cases(rng, 200):
+        t_end = cases[0][0]
+        for times in (
+            simulator._sample_times(signal, t_end, float(rng.uniform(0.01, 0.3))),
+            simulator._sample_times(signal, t_end, 0.1),
+            _near_duplicate_times(rng, signal, t_end),
+        ):
+            walk = simulator._exact_states(signal, x0, times, rows)
+            blocks = [block.copy() for block in walk]  # the buffer is reused
+            assert all(len(block) == rows for block in blocks[:-1])
+            expected = _reference_states_at(signal, x0, times)
+            assert np.array_equal(np.concatenate(blocks), expected)
+            grids += 1
+    assert grids == 600
+
+
+def test_oracle_nan_gap_is_kept_by_the_running_maximum(
+    demo_signal, scenario_path, tmp_path, capsys, monkeypatch
+):
+    """A NaN at one node of the first compared block, followed by finite
+    blocks, makes the deviation NaN (a later finite gap must not replace it)
+    and ``simulate --oracle`` exit 3."""
+    real = simulator._rk4_step
+    poisoned_call = 10
+    calls = []
+    saved = np.empty(8)
+
+    def poisoning(lap, state, h, out, work):
+        calls.append(h)
+        if len(calls) == poisoned_call + 1:
+            state = saved  # later nodes continue from the finite state
+        real(lap, state, h, out, work)
+        if len(calls) == poisoned_call:
+            saved[...] = out
+            out[0] = math.nan
+
+    monkeypatch.setattr(simulator, "_rk4_step", poisoning)
+    reference = rk4_reference(demo_signal, X0, 6.0, 1e-3)
+    nan_rows = np.isnan(reference.states).any(axis=1)
+    assert np.flatnonzero(nan_rows).tolist() == [poisoned_call]
+    assert len(reference.times) > 4 * simulator._ORACLE_BLOCK_ROWS
+    calls.clear()
+    assert math.isnan(max_oracle_deviation(demo_signal, X0, 6.0, 1e-3))
+    calls.clear()
+    argv = ["simulate", str(scenario_path), "--t-end", "6", "--oracle"]
+    assert cli.main(argv + ["--out", str(tmp_path / "t.csv")]) == 3
+    captured = capsys.readouterr()
+    assert "oracle max deviation: nan" in captured.out
+    assert "deviates by nan" in captured.err
+
+
+def test_oracle_holds_one_reference_sized_array(demo_graphs):
+    """Besides the reference trajectory, the cross-check holds only
+    fixed-size blocks: its traced peak stays within 1.5 times the
+    reference states' bytes plus a small constant (the list-building
+    oracle held about five such arrays)."""
+    signal = build_periodic_signal(
+        demo_graphs, DEMO_SEGMENTS, period=6.0, alpha=0.5, beta=4.0
+    )
+    states_bytes = rk4_reference(signal, X0, 12.0, 1e-3).states.nbytes
+    tracemalloc.start()
+    try:
+        deviation = max_oracle_deviation(signal, X0, 12.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deviation <= 1e-6
+    assert peak <= 1.5 * states_bytes + 64 * 1024, (peak, states_bytes)
+
+
+def test_oracle_step_with_more_nodes_than_memory_is_a_model_error(
+    scenario_path, tmp_path, capsys
+):
+    """A countable step whose reference states exceed any address space is
+    rejected when the reference is allocated, before the first step (exit
+    2), not with an uncaught ``MemoryError``."""
+    out = tmp_path / "t.csv"
+    argv = ["simulate", str(scenario_path), "--t-end", "6", "--oracle", "1e-15"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "more reference states than fit in memory" in err
+    assert "Traceback" not in err
