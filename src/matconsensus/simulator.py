@@ -5,10 +5,13 @@ Within each segment the Laplacian is constant and symmetric, so states are
 propagated exactly (to eigensolver accuracy) through the cached spectral
 decomposition — no time-stepping error accumulates and switch instants are
 honoured exactly.  One exact walker produces these states, for ``simulate``'s
-samples and for the oracle's comparison alike.  A classical fixed-step
-Runge-Kutta integrator that never steps across a switch instant is provided
-as an independent reference; the oracle compares it with the exact walker
-block by block, holding one copy of the reference nodes.
+samples and for the oracle's comparison alike.  ``simulate`` refuses a sample
+grid whose states cannot be held before it builds the grid, and computes a
+trajectory's disagreement ``V`` once, in row blocks, for its invariant checks
+and the CSV writer alike.  A classical fixed-step Runge-Kutta integrator that
+never steps across a switch instant is provided as an independent reference;
+the oracle compares it with the exact walker block by block, holding one copy
+of the reference nodes.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,6 +35,11 @@ from .errors import (
 from .graphs import GraphDimensions
 from .switching import SwitchingSignal, same_instant
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# Rows of states reduced or compared at a time: the disagreement ``V`` of a
+# trajectory and the oracle's exact states are worked through in blocks of
+# this many rows, so neither holds a second states-sized array.
+_BLOCK_ROWS = 256
 
 
 def _stacked_state(x: NDArray[np.float64], dims: GraphDimensions) -> NDArray[np.float64]:
@@ -74,16 +84,19 @@ class Trajectory:
     states: NDArray[np.float64]
     consensus_point: NDArray[np.float64]
 
-    @property
-    def disagreement(self) -> NDArray[np.float64]:
-        """Per-sample deviation from the consensus point."""
-        return self.states - self.consensus_point
-
-    @property
+    @cached_property
     def lyapunov(self) -> NDArray[np.float64]:
-        """Squared disagreement norm per sample."""
-        deviation = self.disagreement
-        return np.einsum("ij,ij->i", deviation, deviation)
+        """Squared disagreement norm ``V`` per sample, computed on first use
+        and kept.  The deviation from the consensus point is formed
+        ``_BLOCK_ROWS`` rows at a time; each row's sum has the bits of a
+        whole-array ``einsum``."""
+        lyapunov = np.empty(len(self.states))
+        for start in range(0, len(self.states), _BLOCK_ROWS):
+            deviation = self.states[start : start + _BLOCK_ROWS] - self.consensus_point
+            lyapunov[start : start + _BLOCK_ROWS] = np.einsum(
+                "ij,ij->i", deviation, deviation
+            )
+        return lyapunov
 
     @property
     def final_state(self) -> NDArray[np.float64]:
@@ -123,14 +136,14 @@ def _exact_states(
     segments lazily; the running state is advanced across each switch with
     the cached full-segment exponential.  Within a segment the eigensystem
     is fetched, and the running state projected onto it, once; each sample
-    then costs one elementwise decay and one matrix-vector product.  Samples
-    past the end of a finite signal take its final state.
+    is then ``vectors @ (exp(-values * delta) * coefficients)``, written
+    into its row of the block.  Samples past the end of a finite signal
+    take its final state.
 
     One block buffer is reused: a block is the caller's (it may overwrite
     it) only until the next one is requested.
     """
     block = np.empty((min(rows, len(times)), x0.shape[0]))
-    decay = np.empty(x0.shape[0])
     current = x0.copy()
     i = filled = 0
     for k, t_k, t_next in signal.segments_between(0, times[-1]):
@@ -145,10 +158,9 @@ def _exact_states(
                     values, vectors = signal.segment_eigensystem(k)
                     rates = -values
                     coefficients = vectors.T @ current
-                np.multiply(rates, delta, out=decay)
-                np.exp(decay, out=decay)
-                np.multiply(decay, coefficients, out=decay)
-                np.matmul(vectors, decay, out=block[filled])
+                np.matmul(
+                    vectors, np.exp(rates * delta) * coefficients, out=block[filled]
+                )
             i += 1
             filled += 1
             if filled == len(block):
@@ -168,6 +180,27 @@ def _exact_states(
         yield block[:filled]
 
 
+def _check_sample_grid(signal: SwitchingSignal, t_end: float, sample_dt: float) -> None:
+    """Raise :class:`ModelError` unless an array of the sample grid's states
+    can be allocated, tried (and dropped) before the grid is built.  The grid
+    has at most ``floor(t_end / sample_dt) + 1`` ticks plus the switch
+    instants and ``t_end``; a periodic signal's instants are counted,
+    exactly, by the periods that start before ``t_end``, without walking its
+    segments."""
+    ticks = math.floor(t_end / sample_dt) + 1
+    instants = signal.partitions
+    if signal.periodic:
+        instants *= math.ceil(Fraction(t_end) / signal.period_exact)
+    rows = ticks + instants + 1  # and t_end
+    try:
+        np.empty((rows, signal.dims.stacked))
+    except (MemoryError, ValueError) as error:  # ValueError: beyond any shape
+        raise ModelError(
+            f"the sample grid of sample_dt {sample_dt!r} up to t_end {t_end!r} "
+            f"has up to {rows} samples, more states than fit in memory"
+        ) from error
+
+
 def _sample_times(
     signal: SwitchingSignal, t_end: float, sample_dt: float
 ) -> NDArray[np.float64]:
@@ -176,7 +209,7 @@ def _sample_times(
     into it, and so does a switch instant at ``t_end``."""
     starts = (float(t_k) for _, t_k, _ in signal.segments_between(0, t_end))
     instants = [t for t in starts if not same_instant(t, t_end)] + [float(t_end)]
-    count = int(math.floor(t_end / sample_dt + 1e-9))
+    count = math.floor(t_end / sample_dt)
     ticks = {0.0, *instants}
     for k in range(count + 1):
         t = k * sample_dt
@@ -190,9 +223,7 @@ def _sample_times(
     return np.array(sorted(ticks))
 
 
-def _check_invariants(
-    trajectory: Trajectory, lyapunov: NDArray[np.float64], tolerances: Tolerances
-) -> None:
+def _check_invariants(trajectory: Trajectory, tolerances: Tolerances) -> None:
     """Raise :class:`ModelError` unless the network mean stays put and the
     disagreement ``V`` never rises between samples, both within tolerance.
     The two hold exactly for ``x' = -L(t) x`` with symmetric PSD ``L``, so a
@@ -203,7 +234,7 @@ def _check_invariants(
     floors keep rounding from counting when the mean is near zero or the
     initial state is at or near consensus (``V(0) = 0``).
     """
-    dims, times = trajectory.dims, trajectory.times
+    dims, times, lyapunov = trajectory.dims, trajectory.times, trajectory.lyapunov
     means = trajectory.states.reshape(len(times), dims.n, dims.d).mean(axis=1)
     scale = max(1.0, float(np.max(np.abs(means[0]))))
     drift = np.max(np.abs(means - means[0]), axis=1) / scale
@@ -240,6 +271,7 @@ def simulate(
     """
     _check_horizon_time(signal, t_end)
     _check_step(t_end, sample_dt, "sample_dt")
+    _check_sample_grid(signal, t_end, sample_dt)
     state = _stacked_state(x0, signal.dims)
     times = _sample_times(signal, t_end, sample_dt)
     trajectory = Trajectory(
@@ -248,13 +280,12 @@ def simulate(
         states=next(_exact_states(signal, state, times, len(times))),
         consensus_point=average_consensus_point(state, signal.dims),
     )
-    lyapunov = trajectory.lyapunov
     # finite V implies finite states.  V overflows for an initial state near
     # the float range, and states turn NaN when a Laplacian's spectrum is too
     # wide for its small eigenvalues to be resolved
-    if not np.isfinite(lyapunov).all():
+    if not np.isfinite(trajectory.lyapunov).all():
         raise ModelError("the trajectory's disagreement V left the float range")
-    _check_invariants(trajectory, lyapunov, tolerances)
+    _check_invariants(trajectory, tolerances)
     return trajectory
 
 
@@ -264,42 +295,15 @@ RK4_STABILITY_LIMIT = 2.785
 
 
 def _rk4_step(
-    lap: NDArray[np.float64],
-    state: NDArray[np.float64],
-    h: float,
-    out: NDArray[np.float64],
-    work: NDArray[np.float64],
-) -> None:
-    """One classical RK4 step of ``x' = -L x`` from ``state`` into ``out``.
-
-    ``work`` is a ``(5, n*d)`` scratch array.  The ufuncs run in the order
-    of the textbook expression
-    ``state + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with
-    ``k2 = -(L @ (state + (0.5 * h) * k1))`` and so on, so every node has
-    the bits that expression gives; only the temporaries are reused.
-    """
-    k1, k2, k3, k4, stage = work
-    np.matmul(lap, state, out=k1)
-    np.negative(k1, out=k1)
-    np.multiply(0.5 * h, k1, out=stage)
-    np.add(state, stage, out=stage)
-    np.matmul(lap, stage, out=k2)
-    np.negative(k2, out=k2)
-    np.multiply(0.5 * h, k2, out=stage)
-    np.add(state, stage, out=stage)
-    np.matmul(lap, stage, out=k3)
-    np.negative(k3, out=k3)
-    np.multiply(h, k3, out=stage)
-    np.add(state, stage, out=stage)
-    np.matmul(lap, stage, out=k4)
-    np.negative(k4, out=k4)
-    np.multiply(2.0, k2, out=k2)
-    np.add(k1, k2, out=k1)
-    np.multiply(2.0, k3, out=k3)
-    np.add(k1, k3, out=k1)
-    np.add(k1, k4, out=k1)
-    np.multiply(h / 6.0, k1, out=k1)
-    np.add(state, k1, out=out)
+    lap: NDArray[np.float64], state: NDArray[np.float64], h: float
+) -> NDArray[np.float64]:
+    """One classical RK4 step of ``x' = -L x`` from ``state``, as the
+    textbook expression; the caller stores the returned state."""
+    k1 = -(lap @ state)
+    k2 = -(lap @ (state + 0.5 * h * k1))
+    k3 = -(lap @ (state + 0.5 * h * k2))
+    k4 = -(lap @ (state + h * k3))
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _check_stable_step(signal: SwitchingSignal, k: int, step: float) -> None:
@@ -320,9 +324,10 @@ def rk4_reference(
     The integrator never steps across a switch instant: each segment is
     covered by full steps of ``step`` plus one shorter step to land exactly
     on the segment boundary (or on ``t_end``).  Every integration node is
-    recorded, so the result doubles as a dense reference trajectory; its
-    states are one preallocated ``(nodes + 1, n*d)`` array, written in
-    place step by step, and nothing else of that size is held.
+    recorded, so the result doubles as a dense reference trajectory.  The
+    nodes are counted segment by segment first; each step's result is then
+    written into its row of one preallocated ``(nodes + 1, n*d)`` array, and
+    nothing else of that size is held.
 
     A segment on which the largest step taken, times the largest eigenvalue
     of its Laplacian, exceeds ``RK4_STABILITY_LIMIT`` raises
@@ -358,22 +363,21 @@ def rk4_reference(
     try:
         times = np.empty(nodes + 1)
         states = np.empty((nodes + 1, state.shape[0]))
-    except MemoryError as error:
+    except (MemoryError, ValueError) as error:  # ValueError: beyond any shape
         raise ModelError(
             f"RK4 step {step!r} takes {nodes} steps up to t_end {t_end}, "
             "more reference states than fit in memory"
         ) from error
     times[0] = 0.0
     states[0] = state
-    work = np.empty((5, state.shape[0]))
     j = 0
     for lap, seg_start, seg_end, full, remainder in plan:
         for i in range(1, full + 1):
-            _rk4_step(lap, states[j], step, states[j + 1], work)
+            states[j + 1] = _rk4_step(lap, states[j], step)
             j += 1
             times[j] = seg_start + i * step
         if remainder is not None:
-            _rk4_step(lap, states[j], remainder, states[j + 1], work)
+            states[j + 1] = _rk4_step(lap, states[j], remainder)
             j += 1
             times[j] = seg_end
 
@@ -385,10 +389,6 @@ def rk4_reference(
     )
 
 
-# Rows of exact states compared with the reference at a time.
-_ORACLE_BLOCK_ROWS = 256
-
-
 def max_oracle_deviation(
     signal: SwitchingSignal, x0: NDArray[np.float64], t_end: float, step: float
 ) -> float:
@@ -396,7 +396,7 @@ def max_oracle_deviation(
     reference, taken over all reference nodes in ``[0, t_end]``.
 
     The exact states come from the one exact walker in blocks of
-    ``_ORACLE_BLOCK_ROWS`` rows, each compared with the reference and
+    ``_BLOCK_ROWS`` rows, each compared with the reference and
     dropped, so the reference trajectory is the only array whose size grows
     with the number of nodes.  A NaN gap anywhere makes the result NaN.
     """
@@ -404,7 +404,7 @@ def max_oracle_deviation(
     x0 = reference.states[0]  # the validated, stacked initial state
     worst = np.float64(0.0)
     start = 0
-    for block in _exact_states(signal, x0, reference.times, _ORACLE_BLOCK_ROWS):
+    for block in _exact_states(signal, x0, reference.times, _BLOCK_ROWS):
         stop = start + len(block)
         np.subtract(reference.states[start:stop], block, out=block)
         np.abs(block, out=block)

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from matconsensus.simulator import (
     _check_step,
     _stacked_state,
 )
+from matconsensus.switching import same_instant
 from conftest import DEMO_SEGMENTS, LAP_A, SEED, X0, random_graph
 
 THREE_SHORT = [(0, 0.3), (1, 0.3), (2, 0.3)]
@@ -569,20 +571,21 @@ def test_oracle_nan_gap_is_kept_by_the_running_maximum(
     calls = []
     saved = np.empty(8)
 
-    def poisoning(lap, state, h, out, work):
+    def poisoning(lap, state, h):
         calls.append(h)
         if len(calls) == poisoned_call + 1:
             state = saved  # later nodes continue from the finite state
-        real(lap, state, h, out, work)
+        out = real(lap, state, h)
         if len(calls) == poisoned_call:
             saved[...] = out
             out[0] = math.nan
+        return out
 
     monkeypatch.setattr(simulator, "_rk4_step", poisoning)
     reference = rk4_reference(demo_signal, X0, 6.0, 1e-3)
     nan_rows = np.isnan(reference.states).any(axis=1)
     assert np.flatnonzero(nan_rows).tolist() == [poisoned_call]
-    assert len(reference.times) > 4 * simulator._ORACLE_BLOCK_ROWS
+    assert len(reference.times) > 4 * simulator._BLOCK_ROWS
     calls.clear()
     assert math.isnan(max_oracle_deviation(demo_signal, X0, 6.0, 1e-3))
     calls.clear()
@@ -617,10 +620,116 @@ def test_oracle_step_with_more_nodes_than_memory_is_a_model_error(
 ):
     """A countable step whose reference states exceed any address space is
     rejected when the reference is allocated, before the first step (exit
-    2), not with an uncaught ``MemoryError``."""
+    2), not with an uncaught ``MemoryError``, nor with the ``ValueError`` of
+    a node count beyond any array shape (step 1e-300)."""
     out = tmp_path / "t.csv"
-    argv = ["simulate", str(scenario_path), "--t-end", "6", "--oracle", "1e-15"]
-    assert cli.main(argv + ["--out", str(out)]) == 2
+    for step in ("1e-15", "1e-300"):
+        argv = ["simulate", str(scenario_path), "--t-end", "6", "--oracle", step]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "more reference states than fit in memory" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--t-end", "6", "--sample-dt", "1e-12"],
+        ["--t-end", "1e13", "--sample-dt", "1e13"],  # 5e12 switch instants
+        ["--t-end", "6", "--sample-dt", "1e-15", "--oracle", "1e-15"],
+        ["--t-end", "1e300", "--sample-dt", "1e299"],  # beyond any array shape
+    ],
+    ids=["fine-ticks", "many-periods", "before-the-oracle", "beyond-any-shape"],
+)
+def test_sample_grid_beyond_memory_is_a_model_error(
+    scenario_path, tmp_path, capsys, extra
+):
+    """A sample grid whose states cannot be held is counted and refused
+    before it is built (exit 2), instead of building it for ever."""
+    out = tmp_path / "t.csv"
+    argv = ["simulate", str(scenario_path), *extra, "--out", str(out)]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "more reference states than fit in memory" in err
+    assert re.search(
+        r"error: the sample grid of sample_dt \S+ up to t_end \S+ has up to "
+        r"\d+ samples, more states than fit in memory",
+        err,
+    ), err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_holds_one_states_sized_array():
+    """``V`` is computed once, in row blocks: besides the sampled states,
+    ``simulate`` holds only blocks and per-sample vectors, so its traced
+    peak stays within 1.5 times the states' bytes plus a small constant
+    (building the whole deviation from consensus took about twice the
+    states' bytes).  Block-wise ``V`` has the whole-array ``einsum`` bits."""
+    rng = np.random.default_rng(SEED + 11)
+    dims = GraphDimensions(n=30, d=4)
+    graphs = [random_graph(rng, dims, edge_prob=0.3) for _ in range(3)]
+    segments = [(0, 1.5), (1, 2.0), (2, 1.0)]
+    signal = SwitchingSignal(graphs, segments, 0.5, 4.0, periodic=True)
+    x0 = rng.normal(size=dims.stacked)
+    simulate(signal, x0, 20.0, 1.0)  # fills the per-segment caches
+    tracemalloc.start()
+    try:
+        trajectory = simulate(signal, x0, 20.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states_bytes = trajectory.states.nbytes
+    assert len(trajectory.times) > 4 * simulator._BLOCK_ROWS
+    assert peak <= 1.5 * states_bytes + 64 * 1024, (peak, states_bytes)
+    deviation = trajectory.states - trajectory.consensus_point
+    assert np.array_equal(
+        trajectory.lyapunov, np.einsum("ij,ij->i", deviation, deviation)
+    )
+
+
+# -- the sample grid before its tick count dropped a 1e-9 slack, kept
+# verbatim (only renamed) as the reference --
+
+
+def _reference_sample_times(signal, t_end, sample_dt):
+    starts = (float(t_k) for _, t_k, _ in signal.segments_between(0, t_end))
+    instants = [t for t in starts if not same_instant(t, t_end)] + [float(t_end)]
+    count = int(math.floor(t_end / sample_dt + 1e-9))
+    ticks = {0.0, *instants}
+    for k in range(count + 1):
+        t = k * sample_dt
+        if t > t_end:
+            break
+        i = bisect_left(instants, t)  # instants[i - 1] < t <= instants[i]
+        if not (
+            same_instant(t, instants[i]) or (i > 0 and same_instant(t, instants[i - 1]))
+        ):
+            ticks.add(t)
+    return np.array(sorted(ticks))
+
+
+def test_sample_grid_without_tick_slack_matches_the_reference(demo_graphs):
+    """Counting ticks as ``floor(t_end / sample_dt)`` gives the same grids as
+    the count with a 1e-9 slack: a tick the slack admits lies past
+    ``t_end``, where the loop stops, or within rounding of ``t_end``, where
+    it merges.  Half the draws put ``t_end / sample_dt`` below a whole
+    number by 1e-16 to 1e-9 relative, where the two counts differ."""
+    rng = np.random.default_rng(SEED + 12)
+    slack_counted = 0
+    for index in range(2400):
+        dwells = rng.choice([0.25, 0.5, 1.0, 0.3, 0.7, float(rng.uniform(0.1, 1.5))], 3)
+        segments = [(int(g), float(w)) for g, w in zip(rng.integers(0, 3, 3), dwells)]
+        signal = SwitchingSignal(demo_graphs, segments, 0.05, 2.0, periodic=True)
+        sample_dt = float(rng.choice([0.1, 0.25, 0.3, 1 / 3, rng.uniform(0.05, 0.5)]))
+        ticks = int(rng.integers(1, 40))
+        if index % 2:
+            below = 10.0 ** rng.uniform(-16, -9)
+            t_end = ticks * sample_dt * (1 - below)
+        else:
+            t_end = float(rng.uniform(0.01, 40 * sample_dt))
+        times = simulator._sample_times(signal, t_end, sample_dt)
+        assert np.array_equal(times, _reference_sample_times(signal, t_end, sample_dt))
+        slack_counted += math.floor(t_end / sample_dt + 1e-9) != math.floor(
+            t_end / sample_dt
+        )
+    assert slack_counted >= 500, slack_counted
