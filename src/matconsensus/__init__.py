@@ -29,28 +29,7 @@ from .analysis import (
     sufficient_condition_certificate,
     transition_matrix,
 )
-from .errors import (
-    AsymmetricWeightError,
-    BadThresholdError,
-    DimensionMismatchError,
-    DwellOutOfBoundsError,
-    EmptySignalError,
-    EmptySpanError,
-    IndefiniteWeightError,
-    IndexOrderError,
-    IndexOutOfRangeError,
-    InvalidSignalError,
-    ModelError,
-    NegativeDurationError,
-    NotPositiveSemidefiniteError,
-    NotSymmetricError,
-    OracleDivergenceError,
-    PeriodMismatchError,
-    SelfLoopError,
-    TimeOutOfRangeError,
-    TooFewPartitionsError,
-    ZeroWeightError,
-)
+from .errors import ModelError
 from .graphs import (
     GraphDimensions,
     MatrixWeightedGraph,
@@ -81,7 +60,6 @@ from .spectral import (
     NullSpaceReport,
     classify_definiteness,
     consensus_subspace,
-    matrix_exponential_symmetric,
     null_space_basis,
     symmetric_eigen,
 )
@@ -95,48 +73,29 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetricWeightError",
-    "BadThresholdError",
     "ContractionReport",
     "DEFAULT_TOLERANCES",
     "Decision",
     "Definiteness",
-    "DimensionMismatchError",
-    "DwellOutOfBoundsError",
-    "EmptySignalError",
-    "EmptySpanError",
     "GraphDimensions",
     "HorizonExhausted",
-    "IndefiniteWeightError",
-    "IndexOrderError",
-    "IndexOutOfRangeError",
-    "InvalidSignalError",
     "MatrixWeightedGraph",
     "ModelError",
-    "NegativeDurationError",
-    "NotPositiveSemidefiniteError",
-    "NotSymmetricError",
     "NullSpaceMatch",
     "NullSpaceObstruction",
     "NullSpaceReport",
-    "OracleDivergenceError",
-    "PeriodMismatchError",
     "PositiveSpanningTree",
     "RunSettings",
     "Scenario",
     "ScenarioError",
-    "SelfLoopError",
     "SwitchingSignal",
-    "TimeOutOfRangeError",
     "Tolerances",
-    "TooFewPartitionsError",
     "Trajectory",
     "TransitionMatrix",
     "UniformContraction",
     "Verdict",
     "WeightMatrix",
     "Window",
-    "ZeroWeightError",
     "adjacency_matrix",
     "average_consensus_point",
     "build_periodic_signal",
@@ -147,7 +106,6 @@ __all__ = [
     "integral_network",
     "laplacian",
     "load_scenario",
-    "matrix_exponential_symmetric",
     "max_oracle_deviation",
     "necessary_condition_scan",
     "new_graph",

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    BadThresholdError,
-    IndexOrderError,
-    IndexOutOfRangeError,
-    InvalidSignalError,
-)
+from .errors import ModelError
 from .graphs import Edge, GraphDimensions, MatrixWeightedGraph
 from .spectral import (
     Definiteness,
@@ -65,7 +60,7 @@ def transition_matrix(
     exceed the segment count.
     """
     if start >= stop:
-        raise IndexOrderError(f"need start < stop, got ({start}, {stop})")
+        raise ModelError(f"need start < stop, got ({start}, {stop})")
     product = np.eye(signal.dims.stacked)
     for k in range(start, stop):
         product = signal.segment_exponential(k) @ product
@@ -373,7 +368,7 @@ def periodic_consensus_verdict(
     the period annihilates.
     """
     if not signal.periodic:
-        raise InvalidSignalError(
+        raise ModelError(
             "periodic_consensus_verdict requires a periodic signal"
         )
     averaged, avg_laplacian = integral_network(signal, 0.0, signal.period, tolerances)
@@ -407,9 +402,9 @@ def necessary_condition_scan(
     alone cannot certify consensus: the verdict is INCONCLUSIVE.
     """
     if horizon < 1:
-        raise IndexOutOfRangeError(f"horizon must be at least 1, got {horizon}")
+        raise ModelError(f"horizon must be at least 1, got {horizon}")
     if not signal.periodic and horizon > signal.partitions:
-        raise IndexOutOfRangeError(
+        raise ModelError(
             f"horizon {horizon} exceeds segment count {signal.partitions}"
         )
     windows, obstruction = _greedy_windows(signal, horizon, tolerances)
@@ -437,7 +432,7 @@ def sufficient_condition_certificate(
     INCONCLUSIVE, reporting the windows with their factors.
     """
     if not (0.0 < q_threshold < 1.0):
-        raise BadThresholdError(
+        raise ModelError(
             f"threshold must lie strictly inside (0, 1), got {q_threshold}"
         )
     exhausted = next(

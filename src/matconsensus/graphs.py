@@ -20,14 +20,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    AsymmetricWeightError,
-    DimensionMismatchError,
-    IndefiniteWeightError,
-    ModelError,
-    SelfLoopError,
-    ZeroWeightError,
-)
+from .errors import ModelError
 from .spectral import Definiteness, _symmetry_defect, classify_definiteness
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -43,9 +36,9 @@ class GraphDimensions:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise DimensionMismatchError(f"need at least 2 nodes, got n={self.n}")
+            raise ModelError(f"need at least 2 nodes, got n={self.n}")
         if self.d < 1:
-            raise DimensionMismatchError(f"need dimension >= 1, got d={self.d}")
+            raise ModelError(f"need dimension >= 1, got d={self.d}")
 
     @property
     def stacked(self) -> int:
@@ -104,21 +97,21 @@ def set_edge(
 
     The weight must be a symmetric ``d x d`` matrix that classifies as
     positive definite or positive semi-definite.  Asymmetry beyond tolerance,
-    indefiniteness, and (numerically) zero weights are each rejected with a
-    dedicated error, and non-finite entries with :class:`ModelError`.
+    indefiniteness, (numerically) zero weights and non-finite entries are
+    each rejected with a :class:`ModelError` whose message names the fault.
     Symmetric rounding noise is removed by storing ``W/2 + W^T/2``, which
     does not overflow.
     """
     n, d = graph.dims.n, graph.dims.d
     if not (0 <= i < n and 0 <= j < n):
-        raise DimensionMismatchError(
+        raise ModelError(
             f"node indices must lie in [0, {n}), got ({i}, {j})"
         )
     if i == j:
-        raise SelfLoopError(f"self-loop at node {i} is not allowed")
+        raise ModelError(f"self-loop at node {i} is not allowed")
     weight = np.asarray(weight, dtype=float)
     if weight.shape != (d, d):
-        raise DimensionMismatchError(
+        raise ModelError(
             f"weight must be {d}x{d}, got shape {weight.shape}"
         )
     # the largest magnitude is NaN or inf exactly when some entry is
@@ -128,7 +121,7 @@ def set_edge(
     defect = _symmetry_defect(weight)
     scale = max(1.0, magnitude)
     if defect > tolerances.symmetry * scale:
-        raise AsymmetricWeightError(
+        raise ModelError(
             f"weight for edge ({i}, {j}) is asymmetric: "
             f"max|W - W^T| = {defect:.3e}"
         )
@@ -136,12 +129,12 @@ def set_edge(
     symmetric = half + half.T
     definiteness = classify_definiteness(symmetric, tolerances)
     if definiteness is Definiteness.ZERO:
-        raise ZeroWeightError(
+        raise ModelError(
             f"weight for edge ({i}, {j}) is zero within tolerance; "
             "omit the edge instead"
         )
     if definiteness is Definiteness.INDEFINITE:
-        raise IndefiniteWeightError(
+        raise ModelError(
             f"weight for edge ({i}, {j}) is indefinite"
         )
     symmetric.setflags(write=False)
@@ -174,7 +167,15 @@ def degree_matrix(graph: MatrixWeightedGraph) -> NDArray[np.float64]:
 def laplacian(graph: MatrixWeightedGraph) -> NDArray[np.float64]:
     """The read-only ``nd x nd`` degree-minus-adjacency block Laplacian of
     the graph: symmetric and positive semi-definite, with every block row
-    summing to the zero block."""
-    matrix = degree_matrix(graph) - adjacency_matrix(graph)
+    summing to the zero block.  Raises :class:`ModelError` if the matrices
+    it is built from cannot be allocated."""
+    try:
+        matrix = degree_matrix(graph) - adjacency_matrix(graph)
+    except (MemoryError, ValueError) as error:  # ValueError: beyond any shape
+        size = graph.dims.stacked
+        raise ModelError(
+            f"the Laplacian for n*d = {size} is {size}x{size}, "
+            "more entries than fit in memory"
+        ) from error
     matrix.setflags(write=False)
     return matrix

@@ -24,8 +24,8 @@ For a periodic signal the period is the sum of the segment dwells.  Edge
 weights may be given flat (row-major, ``d*d`` numbers) or as ``d`` rows of
 ``d`` numbers.  Structural problems raise :class:`ScenarioError` with the
 offending field path; semantic violations (indefinite weights, dwell bounds,
-too few periodic segments, ...) raise the corresponding model error with the
-field path prefixed to the message.
+too few periodic segments, ...) raise :class:`ModelError` with the field
+path prefixed to the message.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _parse_tolerances(data: dict, path: str) -> Tolerances:
 
 
 def _contextualize(error: ModelError, path: str) -> ModelError:
-    return type(error)(f"{path}: {error}")
+    return ModelError(f"{path}: {error}")
 
 
 def parse_scenario(data: dict) -> Scenario:

@@ -26,12 +26,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DimensionMismatchError,
-    ModelError,
-    NegativeDurationError,
-    TimeOutOfRangeError,
-)
+from .errors import ModelError
 from .graphs import GraphDimensions
 from .switching import SwitchingSignal, same_instant
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -51,7 +46,7 @@ def _stacked_state(x: NDArray[np.float64], dims: GraphDimensions) -> NDArray[np.
     if state.shape == (dims.n, dims.d):
         state = state.reshape(dims.stacked)
     if state.shape != (dims.stacked,):
-        raise DimensionMismatchError(
+        raise ModelError(
             f"state must have shape ({dims.stacked},) or ({dims.n}, {dims.d}), "
             f"got {state.shape}"
         )
@@ -109,7 +104,7 @@ class Trajectory:
 
 def _check_horizon_time(signal: SwitchingSignal, t_end: float) -> None:
     if not 0 < t_end < math.inf:
-        raise TimeOutOfRangeError(f"t_end must be positive and finite, got {t_end}")
+        raise ModelError(f"t_end must be positive and finite, got {t_end}")
     signal.snap_to_end(t_end, f"t_end {t_end}")
 
 
@@ -117,7 +112,7 @@ def _check_step(t_end: float, step: float, what: str) -> None:
     """Reject a step that is not positive, or so fine that the number of
     steps up to ``t_end`` overflows."""
     if not step > 0:
-        raise NegativeDurationError(f"{what} must be positive, got {step}")
+        raise ModelError(f"{what} must be positive, got {step}")
     if t_end / step == math.inf:
         raise ModelError(f"{what} {step} is too fine to count up to t_end {t_end}")
 

@@ -17,12 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    ModelError,
-    NegativeDurationError,
-    NotPositiveSemidefiniteError,
-    NotSymmetricError,
-)
+from .errors import ModelError
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -65,19 +60,18 @@ def _scale(matrix: NDArray[np.float64]) -> float:
 def require_symmetric(
     matrix: NDArray[np.float64], tol: float, *, what: str = "matrix"
 ) -> None:
-    """Raise :class:`NotSymmetricError` unless ``matrix`` is square and
-    symmetric within ``tol`` relative to its magnitude, and
-    :class:`ModelError` if an entry is not finite."""
+    """Raise :class:`ModelError` unless ``matrix`` is square, finite and
+    symmetric within ``tol`` relative to its magnitude."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise NotSymmetricError(f"{what} must be square, got shape {matrix.shape}")
+        raise ModelError(f"{what} must be square, got shape {matrix.shape}")
     defect = _symmetry_defect(matrix)
     if math.isnan(defect):  # exactly when some entry is NaN or infinite
         raise ModelError(
             f"{what} has non-finite entries: NaN, or beyond the float range"
         )
     if defect > tol * _scale(matrix):
-        raise NotSymmetricError(
+        raise ModelError(
             f"{what} is not symmetric: max|M - M^T| = {defect:.3e}"
         )
 
@@ -143,17 +137,14 @@ def null_space_basis(
 
     Eigenvalues at or below ``tolerances.null_space * max(1, lambda_max)``
     count as zero; the verdict is therefore invariant under positive
-    rescaling of the matrix.  Raises
-    :class:`NotPositiveSemidefiniteError` if an eigenvalue is clearly
-    negative, :class:`DimensionMismatchError` on a size mismatch and
-    :class:`ModelError` if an eigenvalue is beyond the float range.
+    rescaling of the matrix.  Raises :class:`ModelError` on a size
+    mismatch, if an eigenvalue is clearly negative, or if one is beyond the
+    float range.
     """
-    from .errors import DimensionMismatchError
-
     matrix = np.asarray(matrix, dtype=float)
     size = dims.n * dims.d
     if matrix.shape != (size, size):
-        raise DimensionMismatchError(
+        raise ModelError(
             f"expected a {size}x{size} matrix for n={dims.n}, d={dims.d}, "
             f"got shape {matrix.shape}"
         )
@@ -163,7 +154,7 @@ def null_space_basis(
     lam_max = max(float(eigenvalues[-1]), 0.0)
     scale = max(1.0, lam_max)
     if float(eigenvalues[0]) < -tolerances.psd * scale:
-        raise NotPositiveSemidefiniteError(
+        raise ModelError(
             f"matrix has negative eigenvalue {eigenvalues[0]:.3e}"
         )
     threshold = tolerances.null_space * scale
@@ -195,22 +186,4 @@ def eigen_exponential(
     """
     result = (vectors * np.exp(-values * t)) @ vectors.T
     return (result + result.T) / 2.0
-
-
-def matrix_exponential_symmetric(
-    matrix: NDArray[np.float64],
-    t: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> NDArray[np.float64]:
-    """Compute ``exp(-M t)`` for a symmetric ``M`` via eigendecomposition.
-
-    ``t`` must be non-negative; see :func:`eigen_exponential`.
-    """
-    if t < 0:
-        raise NegativeDurationError(f"duration must be non-negative, got {t}")
-    matrix = np.asarray(matrix, dtype=float)
-    if t == 0:
-        require_symmetric(matrix, tolerances.symmetry)
-        return np.eye(matrix.shape[0])
-    return eigen_exponential(*symmetric_eigen(matrix, tolerances), t)
 

@@ -23,16 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DimensionMismatchError,
-    DwellOutOfBoundsError,
-    EmptySignalError,
-    EmptySpanError,
-    IndexOutOfRangeError,
-    PeriodMismatchError,
-    TimeOutOfRangeError,
-    TooFewPartitionsError,
-)
+from .errors import ModelError
 from .graphs import Edge, GraphDimensions, MatrixWeightedGraph, WeightMatrix, laplacian
 from .spectral import (
     Definiteness,
@@ -86,33 +77,33 @@ class SwitchingSignal:
     ) -> None:
         graphs = tuple(graphs)
         if not graphs:
-            raise EmptySignalError("at least one graph is required")
+            raise ModelError("at least one graph is required")
         dims = graphs[0].dims
         for index, graph in enumerate(graphs):
             if graph.dims != dims:
-                raise DimensionMismatchError(
+                raise ModelError(
                     f"graph {index} has dimensions {graph.dims}, expected {dims}"
                 )
         if not (0 < alpha <= beta):
-            raise DwellOutOfBoundsError(
+            raise ModelError(
                 f"dwell bounds must satisfy 0 < alpha <= beta, "
                 f"got alpha={alpha}, beta={beta}"
             )
         segments = tuple((int(g), float(dt)) for g, dt in segments)
         if not segments:
-            raise EmptySignalError("a switching signal needs at least one segment")
+            raise ModelError("a switching signal needs at least one segment")
         for k, (g, dt) in enumerate(segments):
             if not (0 <= g < len(graphs)):
-                raise IndexOutOfRangeError(
+                raise ModelError(
                     f"segment {k} references graph {g}, "
                     f"but only {len(graphs)} graphs were given"
                 )
             if not (alpha <= dt <= beta):
-                raise DwellOutOfBoundsError(
+                raise ModelError(
                     f"segment {k} dwell {dt} outside [{alpha}, {beta}]"
                 )
         if periodic and len(segments) <= 2:
-            raise TooFewPartitionsError(
+            raise ModelError(
                 "a periodic signal needs more than two segments per period, "
                 f"got {len(segments)}"
             )
@@ -156,7 +147,7 @@ class SwitchingSignal:
         """``(cycle, index)`` of global segment ``k`` in the segment list."""
         m = len(self.segments)
         if k < 0 or (k >= m and not self.periodic):
-            raise IndexOutOfRangeError(
+            raise ModelError(
                 f"segment index {k} outside [0, {'inf' if self.periodic else m})"
             )
         return divmod(k, m)
@@ -182,7 +173,7 @@ class SwitchingSignal:
         """Index of the segment active at time ``t`` (``t_k <= t < t_k+1``)."""
         tf = t if isinstance(t, Fraction) else Fraction(float(t))
         if tf < 0 or (not self.periodic and tf >= self.period_exact):
-            raise TimeOutOfRangeError(
+            raise ModelError(
                 f"time {t} outside [0, {self.total_duration})"
             )
         cycle, rest = divmod(tf, self.period_exact)
@@ -203,13 +194,13 @@ class SwitchingSignal:
 
     def snap_to_end(self, t: float | Fraction, what: str) -> float | Fraction:
         """``t``, or the end of a finite signal if ``t`` is past it by no more
-        than rounding.  A ``t`` further past raises ``TimeOutOfRangeError``
+        than rounding.  A ``t`` further past raises :class:`ModelError`
         whose message starts with ``what``, the caller's name for ``t``."""
         if self.periodic or t <= self.period_exact:
             return t
         if same_instant(t, self.period_exact):
             return self.period_exact
-        raise TimeOutOfRangeError(f"{what} exceeds signal duration {self.period}")
+        raise ModelError(f"{what} exceeds signal duration {self.period}")
 
     # -- cached per-segment numerics -----------------------------------------
 
@@ -265,7 +256,7 @@ def build_periodic_signal(
     """
     signal = SwitchingSignal(graphs, segments, alpha, beta, periodic=True)
     if not (period > 0) or abs(signal.period - period) > 1e-9 * max(1.0, period):
-        raise PeriodMismatchError(
+        raise ModelError(
             f"segment dwells sum to {signal.period}, "
             f"which does not match the declared period {period}"
         )
@@ -284,25 +275,43 @@ def integral_network(
     matrix-weighted graph whose edge weights are the segments' weights
     averaged over the span; a pair whose averaged block classifies as zero
     is no edge.  ``avg_laplacian`` is the read-only time average of the
-    segment Laplacians, accumulated segment by segment.
+    segment Laplacians.
 
-    Overlap durations between the span and the segments are computed exactly
-    with rational arithmetic, so the weights sum to one and spans aligned
-    with a single segment reproduce that segment's matrices bit-for-bit.
+    Each position of the segment list gets its exact total time in the
+    span: whole periods times its dwell plus the clamped overlap of the
+    partial periods, in rational arithmetic, so the weights sum to one and
+    spans aligned with a single segment reproduce that segment's matrices
+    bit-for-bit.  The positions are accumulated once each, in time order
+    from the one active at ``t_start``, so the cost does not grow with the
+    span: where no position recurs in the span this is the segment-by-segment
+    sum, and a recurring position's weight is rounded once.
     """
     start = Fraction(float(t_start))
     end = Fraction(float(t_end))
     if start < 0:
-        raise TimeOutOfRangeError(f"span start {t_start} must be non-negative")
+        raise ModelError(f"span start {t_start} must be non-negative")
     if end <= start:
-        raise EmptySpanError(f"span [{t_start}, {t_end}) is empty")
+        raise ModelError(f"span [{t_start}, {t_end}) is empty")
     end = signal.snap_to_end(end, f"span end {t_end}")
     span = end - start
+    m = signal.partitions
+    first = signal.segment_index_at(start) % m
+    start_cycle, start_rest = divmod(start, signal.period_exact)
+    end_cycle, end_rest = divmod(end, signal.period_exact)
 
     blocks: dict[Edge, NDArray[np.float64]] = {}
     avg_lap = np.zeros((signal.dims.stacked, signal.dims.stacked))
-    for k, t_k, t_next in signal.segments_between(start, end):
-        weight = float((min(end, t_next) - max(start, t_k)) / span)
+    for k in ((first + i) % m for i in range(m)):
+        t_k = signal.switch_time_exact(k)
+        dwell = signal.switch_time_exact(k + 1) - t_k
+        overlap = (
+            (end_cycle - start_cycle) * dwell
+            + min(max(end_rest - t_k, 0), dwell)
+            - min(max(start_rest - t_k, 0), dwell)
+        )
+        if overlap == 0:
+            continue
+        weight = float(overlap / span)
         for pair, edge_weight in signal.segment_graph(k).edges.items():
             if pair in blocks:
                 blocks[pair] = blocks[pair] + weight * edge_weight.entries

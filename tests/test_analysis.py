@@ -4,14 +4,10 @@ import scipy.linalg
 
 from matconsensus import (
     DEFAULT_TOLERANCES,
-    BadThresholdError,
     Decision,
     GraphDimensions,
     HorizonExhausted,
-    IndexOrderError,
-    IndexOutOfRangeError,
-    InvalidSignalError,
-    NotPositiveSemidefiniteError,
+    ModelError,
     NullSpaceMatch,
     NullSpaceObstruction,
     PositiveSpanningTree,
@@ -64,11 +60,11 @@ def test_transition_matrix_order_and_bounds(demo_signal, demo_finite_signal):
         @ scipy.linalg.expm(-2.0 * demo_signal.segment_laplacian(0))
     )
     assert np.max(np.abs(phi.matrix - expected)) <= 1e-12
-    with pytest.raises(IndexOrderError):
+    with pytest.raises(ModelError, match=r"need start < stop, got \(2, 2\)"):
         transition_matrix(demo_signal, 2, 2)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ModelError, match=r"segment index -1 outside \[0, inf\)"):
         transition_matrix(demo_signal, -1, 2)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ModelError, match=r"segment index 3 outside \[0, 3\)"):
         transition_matrix(demo_finite_signal, 0, 4)
 
 
@@ -154,7 +150,7 @@ def test_periodic_verdict_consensus(demo_signal):
 
 
 def test_periodic_verdict_requires_periodic_signal(demo_finite_signal):
-    with pytest.raises(InvalidSignalError):
+    with pytest.raises(ModelError, match="requires a periodic signal"):
         periodic_consensus_verdict(demo_finite_signal)
 
 
@@ -243,9 +239,9 @@ def test_necessary_scan_never_closing(demo_graphs):
 
 
 def test_necessary_scan_horizon_validation(demo_signal, demo_finite_signal):
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ModelError, match="horizon must be at least 1, got 0"):
         necessary_condition_scan(demo_signal, 0)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ModelError, match="horizon 5 exceeds segment count 3"):
         necessary_condition_scan(demo_finite_signal, 5)
 
 
@@ -298,7 +294,7 @@ def test_sufficient_certificate_boundary_threshold():
 def test_sufficient_certificate_threshold_validation(demo_signal):
     scan = necessary_condition_scan(demo_signal, 8)
     for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(BadThresholdError):
+        with pytest.raises(ModelError, match=r"threshold must lie strictly inside \(0, 1\)"):
             sufficient_condition_certificate(demo_signal, scan, bad)
 
 
@@ -424,7 +420,8 @@ def test_bounded_scan_keeps_the_kernels_psd_check():
     signal = SwitchingSignal(graphs, [(0, 1.0), (1, 1.0), (0, 1.0)], 0.5, 2.0)
     bounded, exact = _bounded_and_exact(signal, 3)
     assert bounded == exact
-    assert bounded[0] is NotPositiveSemidefiniteError
+    assert bounded[0] is ModelError
+    assert bounded[1].startswith("matrix has negative eigenvalue")
 
 
 def test_scan_runs_the_kernel_once_when_every_bound_decides(

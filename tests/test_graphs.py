@@ -1,16 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from matconsensus import (
-    AsymmetricWeightError,
     Definiteness,
-    DimensionMismatchError,
     GraphDimensions,
-    IndefiniteWeightError,
     ModelError,
-    SelfLoopError,
-    ZeroWeightError,
     adjacency_matrix,
+    cli,
     degree_matrix,
     laplacian,
     new_graph,
@@ -20,9 +18,9 @@ from conftest import LAP_A, LAP_B, LAP_C
 
 
 def test_dimensions_reject_degenerate_sizes():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ModelError, match="need at least 2 nodes, got n=1"):
         GraphDimensions(n=1, d=2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ModelError, match="need dimension >= 1, got d=0"):
         GraphDimensions(n=3, d=0)
     assert GraphDimensions(n=4, d=2).stacked == 8
 
@@ -49,17 +47,17 @@ def test_set_edge_is_functional(dims4x2):
 
 def test_set_edge_rejections(dims4x2):
     graph = new_graph(dims4x2)
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(ModelError, match="self-loop at node 2 is not allowed"):
         set_edge(graph, 2, 2, np.eye(2))
-    with pytest.raises(AsymmetricWeightError):
+    with pytest.raises(ModelError, match=r"edge \(0, 1\) is asymmetric"):
         set_edge(graph, 0, 1, [[1, 0.5], [0, 1]])
-    with pytest.raises(IndefiniteWeightError):
+    with pytest.raises(ModelError, match=r"edge \(0, 1\) is indefinite"):
         set_edge(graph, 0, 1, [[1, 3], [3, 1]])  # eigenvalues 4 and -2
-    with pytest.raises(ZeroWeightError):
+    with pytest.raises(ModelError, match=r"edge \(0, 1\) is zero within tolerance"):
         set_edge(graph, 0, 1, np.zeros((2, 2)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ModelError, match=r"weight must be 2x2, got shape \(3, 3\)"):
         set_edge(graph, 0, 1, np.eye(3))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ModelError, match=r"node indices must lie in \[0, 4\)"):
         set_edge(graph, 0, 4, np.eye(2))
 
 
@@ -133,3 +131,28 @@ def test_set_edge_symmetrises_huge_weights_without_overflow(dims4x2):
             weight = set_edge(new_graph(dims4x2), 0, 1, huge).edges[(0, 1)]
         assert weight.definiteness is kind
         assert np.array_equal(weight.entries, huge)
+
+
+@pytest.mark.parametrize("n", [10**8, 10**10])
+def test_laplacian_beyond_memory_is_a_model_error(scenario_path, tmp_path, capsys, n):
+    """The demo's shape with ``d = 1`` and ``n`` nodes: at ``10**8`` the
+    Laplacian needs 8e16 bytes, more than any address space, and at
+    ``10**10`` its shape is beyond any numpy array, so either allocation
+    fails at once and ``analyze`` exits 2, naming ``n*d``."""
+    doc = json.loads(scenario_path.read_text())
+    doc["dimensions"] = {"n": n, "d": 1}
+    for edges in doc["graphs"].values():
+        for edge in edges:
+            edge["weight"] = [edge["weight"][0]]
+    del doc["initial_state"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the Laplacian for n*d = {n} is {n}x{n}, "
+        "more entries than fit in memory\n"
+    )

@@ -119,3 +119,36 @@ def test_tracer_hooks_run_on_the_demo(tmp_path):
         "simulator.rk4_steps",
     ):
         assert sum(c.get(name, 0) for c in counters) > 0, name
+
+
+def _exception_classes() -> set[str]:
+    """``module.Class`` for every class defined anywhere under ``src/``
+    (nested ones too) with a base that is an exception class."""
+    found: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "matconsensus" if path.stem == "__init__" else f"matconsensus.{path.stem}"
+        )
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for base in node.bases:
+                try:
+                    resolved = eval(ast.unparse(base), vars(module))
+                except Exception:
+                    continue
+                if isinstance(resolved, type) and issubclass(resolved, BaseException):
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_one_exception_class_per_exit_code():
+    """A model or input violation is a ``ModelError`` (exit 2) whose message
+    names it; a scenario file that cannot be parsed is a ``ScenarioError``
+    (exit 1), and so is a usage error inside the CLI.  No other exception
+    class is defined: none would be dispatched on."""
+    assert _exception_classes() == {
+        "errors.ModelError",
+        "scenario.ScenarioError",
+        "cli._UsageError",
+    }

@@ -6,11 +6,8 @@ import pytest
 
 from matconsensus import (
     Definiteness,
-    DwellOutOfBoundsError,
-    IndefiniteWeightError,
     ModelError,
     ScenarioError,
-    TooFewPartitionsError,
     Tolerances,
     load_scenario,
     parse_scenario,
@@ -120,20 +117,22 @@ def test_duplicate_edge_rejected():
 
 
 def test_semantic_violations_keep_their_error_type():
+    """A model violation in a well-formed file stays a ModelError (exit 2),
+    not a ScenarioError, with the field path put before its message."""
     data = minimal_scenario()
     data["dimensions"] = {"n": 2, "d": 2}
     data["graphs"]["pair"][0]["weight"] = [1, 3, 3, 1]  # eigenvalues 4 and -2
-    with pytest.raises(IndefiniteWeightError, match=r"graphs\.pair\[0\]"):
+    with pytest.raises(ModelError, match=r"^graphs\.pair\[0\]: .* is indefinite$"):
         parse_scenario(data)
 
     data = minimal_scenario()
     data["signal"]["segments"][0]["dwell"] = 17.0
-    with pytest.raises(DwellOutOfBoundsError, match="signal"):
+    with pytest.raises(ModelError, match=r"^signal: segment 0 dwell 17\.0 outside"):
         parse_scenario(data)
 
     data = minimal_scenario()
     data["signal"]["periodic"] = True
-    with pytest.raises(TooFewPartitionsError):
+    with pytest.raises(ModelError, match="^signal: .* more than two segments per period"):
         parse_scenario(data)
 
 

@@ -1,22 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from matconsensus import (
+    DEFAULT_TOLERANCES,
     Definiteness,
-    DimensionMismatchError,
-    DwellOutOfBoundsError,
-    EmptySignalError,
-    EmptySpanError,
     GraphDimensions,
-    IndexOutOfRangeError,
-    PeriodMismatchError,
+    ModelError,
     SwitchingSignal,
-    TimeOutOfRangeError,
-    TooFewPartitionsError,
     build_periodic_signal,
+    classify_definiteness,
     integral_network,
     new_graph,
     null_space_basis,
@@ -25,7 +24,9 @@ from matconsensus import (
 )
 from matconsensus import switching
 from matconsensus.switching import same_instant
-from conftest import DEMO_SEGMENTS, LAP_A, LAP_B, LAP_C, random_signal
+from conftest import DEMO_SEGMENTS, LAP_A, LAP_B, LAP_C, random_graph, random_signal
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 THREE_SHORT = [(0, 0.3), (1, 0.3), (2, 0.3)]
 
@@ -41,16 +42,16 @@ def test_build_switching_signal_switch_times(demo_graphs):
 
 
 def test_build_switching_signal_rejections(demo_graphs):
-    with pytest.raises(EmptySignalError):
+    with pytest.raises(ModelError, match="a switching signal needs at least one segment"):
         SwitchingSignal(demo_graphs, [], alpha=0.5, beta=4.0)
-    with pytest.raises(DwellOutOfBoundsError):
+    with pytest.raises(ModelError, match=r"segment 0 dwell 0\.1 outside \[0\.5, 4\.0\]"):
         SwitchingSignal(demo_graphs, [(0, 0.1)], alpha=0.5, beta=4.0)
-    with pytest.raises(DwellOutOfBoundsError):
+    with pytest.raises(ModelError, match=r"segment 0 dwell 9\.0 outside \[0\.5, 4\.0\]"):
         SwitchingSignal(demo_graphs, [(0, 9.0)], alpha=0.5, beta=4.0)
-    with pytest.raises(DwellOutOfBoundsError):
+    with pytest.raises(ModelError, match="dwell bounds must satisfy 0 < alpha <= beta"):
         SwitchingSignal(demo_graphs, [(0, 1.0)], alpha=2.0, beta=1.0)
     other = new_graph(GraphDimensions(n=3, d=2))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ModelError, match=r"graph 3 has dimensions GraphDimensions\(n=3"):
         SwitchingSignal(
             list(demo_graphs) + [other], [(0, 1.0)], alpha=0.5, beta=4.0
         )
@@ -70,11 +71,13 @@ def test_build_periodic_signal(demo_graphs):
 
 
 def test_build_periodic_signal_rejections(demo_graphs):
-    with pytest.raises(TooFewPartitionsError):
+    with pytest.raises(ModelError, match="more than two segments per period, got 2"):
         build_periodic_signal(
             demo_graphs, [(0, 2.0), (1, 4.0)], period=6.0, alpha=0.5, beta=4.0
         )
-    with pytest.raises(PeriodMismatchError):
+    with pytest.raises(
+        ModelError, match="dwells sum to 6.0, which does not match the declared period 5.0"
+    ):
         build_periodic_signal(
             demo_graphs,
             [(0, 2.0), (1, 3.0), (2, 1.0)],
@@ -93,14 +96,14 @@ def test_segment_index_at(demo_graphs, demo_signal, demo_finite_signal):
     assert active_graph(finite, 1.99) is demo_graphs[0]
     assert active_graph(finite, 2.0) is demo_graphs[1]  # boundary belongs to the right
     assert active_graph(finite, 5.5) is demo_graphs[2]
-    with pytest.raises(TimeOutOfRangeError):
+    with pytest.raises(ModelError, match=r"time 6\.0 outside \[0, 6\.0\)"):
         active_graph(finite, 6.0)
-    with pytest.raises(TimeOutOfRangeError):
+    with pytest.raises(ModelError, match=r"time -0\.1 outside \[0, 6\.0\)"):
         active_graph(finite, -0.1)
     # the periodic signal wraps instead
     assert active_graph(demo_signal, 6.0) is demo_graphs[0]
     assert active_graph(demo_signal, 13.5) is demo_graphs[0]
-    with pytest.raises(TimeOutOfRangeError):
+    with pytest.raises(ModelError, match=r"time -0\.1 outside \[0, inf\)"):
         active_graph(demo_signal, -0.1)
 
 
@@ -135,9 +138,9 @@ def test_periodic_signal_wraps(demo_graphs):
         assert signal.segment_exponential(k + m) is signal.segment_exponential(k)
         assert signal.segment_graph_index(k + m) == signal.segment_graph_index(k)
     assert signal.segment_count is None
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ModelError, match=r"segment index -1 outside \[0, inf\)"):
         signal.segment_exponential(-1)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ModelError, match=r"segment index -1 outside \[0, inf\)"):
         signal.switch_time_exact(-1)
 
 
@@ -152,20 +155,21 @@ def test_finite_signal_index_range(demo_graphs):
         signal.segment_eigensystem,
         signal.segment_exponential,
     ):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ModelError, match=r"segment index 3 outside \[0, 3\)"):
             accessor(m)
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ModelError, match=r"segment index -1 outside \[0, 3\)"):
             accessor(-1)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ModelError, match=r"segment index 4 outside \[0, 3\)"):
         signal.switch_time_exact(m + 1)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ModelError, match=r"segment index -1 outside \[0, 3\)"):
         signal.switch_time_exact(-1)
 
 
 def test_too_few_partitions_checked_after_dwell_bounds(demo_graphs):
-    with pytest.raises(TooFewPartitionsError):
+    with pytest.raises(ModelError, match="more than two segments per period, got 2"):
         SwitchingSignal(demo_graphs, [(0, 2.0), (1, 4.0)], 0.5, 4.0, periodic=True)
-    with pytest.raises(DwellOutOfBoundsError):
+    # two segments and a dwell out of bounds: the dwell is reported
+    with pytest.raises(ModelError, match=r"^segment 0 dwell 9\.0 outside \[0\.5, 4\.0\]$"):
         SwitchingSignal(demo_graphs, [(0, 9.0), (1, 4.0)], 0.5, 4.0, periodic=True)
 
 
@@ -235,13 +239,13 @@ def test_integral_network_misaligned_span(demo_signal):
 
 
 def test_integral_network_span_validation(demo_signal, demo_finite_signal):
-    with pytest.raises(EmptySpanError):
+    with pytest.raises(ModelError, match=r"span \[2\.0, 2\.0\) is empty"):
         integral_network(demo_signal, 2.0, 2.0)
-    with pytest.raises(EmptySpanError):
+    with pytest.raises(ModelError, match=r"span \[3\.0, 1\.0\) is empty"):
         integral_network(demo_signal, 3.0, 1.0)
-    with pytest.raises(TimeOutOfRangeError):
+    with pytest.raises(ModelError, match="span start -1.0 must be non-negative"):
         integral_network(demo_signal, -1.0, 2.0)
-    with pytest.raises(TimeOutOfRangeError):
+    with pytest.raises(ModelError, match="span end 7.0 exceeds signal duration 6.0"):
         integral_network(demo_finite_signal, 0.0, 7.0)
 
 
@@ -258,6 +262,97 @@ def test_integral_weights_sum_to_one(rng):
                 signal.segments[k][1] / total
             ) * signal.segment_laplacian(k)
         assert np.max(np.abs(avg_laplacian - expected)) <= 1e-12
+
+
+def _reference_integral_network(signal, t_start, t_end):
+    """The segment walk ``integral_network`` replaced: every segment that
+    overlaps the span, in time order, weighted by its own overlap.  Returns
+    the averaged graph's non-zero blocks and the averaged Laplacian."""
+    start = Fraction(float(t_start))
+    end = signal.snap_to_end(Fraction(float(t_end)), f"span end {t_end}")
+    span = end - start
+    blocks = {}
+    avg_lap = np.zeros((signal.dims.stacked, signal.dims.stacked))
+    for k, t_k, t_next in signal.segments_between(start, end):
+        weight = float((min(end, t_next) - max(start, t_k)) / span)
+        for pair, edge_weight in signal.segment_graph(k).edges.items():
+            if pair in blocks:
+                blocks[pair] = blocks[pair] + weight * edge_weight.entries
+            else:
+                blocks[pair] = weight * edge_weight.entries
+        avg_lap = avg_lap + weight * signal.segment_laplacian(k)
+    kept = {
+        pair: block
+        for pair, block in blocks.items()
+        if classify_definiteness(block, DEFAULT_TOLERANCES) is not Definiteness.ZERO
+    }
+    return kept, avg_lap
+
+
+def _random_span(rng, signal):
+    """A span inside the first few passes: one that may cover several
+    periods of a periodic signal, one shorter than a pass, or one between
+    switch instants."""
+    reach = 4 * signal.period if signal.periodic else signal.period
+    kind = rng.integers(3)
+    if kind == 2:
+        m = signal.partitions
+        top = 4 * m if signal.periodic else m
+        a, b = sorted(rng.choice(top + 1, size=2, replace=False))
+        return signal.switch_time(int(a)), signal.switch_time(int(b))
+    start = float(rng.uniform(0.0, reach * (0.75 if signal.periodic else 0.9)))
+    length = signal.period if kind == 1 else reach
+    return start, min(start + float(rng.uniform(0.01, 1.0)) * length, reach)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_integral_network_matches_the_segment_walk(rng, periodic):
+    """Where no segment-list position recurs in the span, the per-position
+    sum is the segment walk bit for bit; where one recurs it differs from
+    it only by rounding."""
+    exact = close = 0
+    for _ in range(60):
+        dims = GraphDimensions(n=int(rng.integers(2, 5)), d=int(rng.integers(1, 4)))
+        graphs = [random_graph(rng, dims) for _ in range(int(rng.integers(1, 4)))]
+        segments = [
+            (int(rng.integers(0, len(graphs))), float(rng.uniform(0.5, 2.0)))
+            for _ in range(int(rng.integers(3, 7)))
+        ]
+        signal = SwitchingSignal(graphs, segments, 0.5, 2.0, periodic=periodic)
+        for _ in range(5):
+            start, end = _random_span(rng, signal)
+            averaged, avg_laplacian = integral_network(signal, start, end)
+            blocks, reference = _reference_integral_network(signal, start, end)
+            visits = len(list(signal.segments_between(Fraction(start), Fraction(end))))
+            if visits <= signal.partitions:
+                assert np.array_equal(avg_laplacian, reference), (start, end)
+                assert sorted(averaged.edges) == sorted(blocks)
+                for pair, block in blocks.items():
+                    assert np.array_equal(averaged.edges[pair].entries, block)
+                exact += 1
+            else:
+                assert np.allclose(avg_laplacian, reference, rtol=1e-12, atol=1e-12)
+                for pair, weight in averaged.edges.items():
+                    assert np.allclose(weight.entries, blocks[pair], rtol=1e-12, atol=1e-12)
+                close += 1
+    assert exact > 50
+    assert close > 50 or not periodic  # a finite signal's positions never recur
+
+
+@pytest.mark.parametrize("span", [("0", "1e12"), ("1e300", "1e301")])
+def test_analyze_over_an_enormous_span_returns(scenario_path, span):
+    """The demo over about 1.7e11 periods, or past 1e300, costs what one
+    period does: the integral network does not walk the span's segments."""
+    result = subprocess.run(
+        [sys.executable, "-m", "matconsensus", "analyze", str(scenario_path),
+         "--span", *span],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert f"integral network over [{float(span[0])}, {float(span[1])})" in result.stdout
 
 
 def _overlapping_segments(signal, start, end):
@@ -325,7 +420,7 @@ def test_snap_to_end_accepts_rounding_past_a_finite_end(demo_graphs):
     assert finite.snap_to_end(0.5, "t_end 0.5") == 0.5
     assert periodic.snap_to_end(5.0, "t_end 5.0") == 5.0
     with pytest.raises(
-        TimeOutOfRangeError,
+        ModelError,
         match="t_end 0.91 exceeds signal duration 0.8999999999999999",
     ):
         finite.snap_to_end(0.91, "t_end 0.91")
@@ -336,7 +431,7 @@ def test_integral_network_snaps_its_span_end(demo_graphs):
     _, avg_laplacian = integral_network(finite, 0.0, 0.9)
     expected = (LAP_A + LAP_B + LAP_C) / 3.0
     assert np.allclose(avg_laplacian, expected, atol=1e-15)
-    with pytest.raises(TimeOutOfRangeError, match="span end 0.91 exceeds"):
+    with pytest.raises(ModelError, match="span end 0.91 exceeds"):
         integral_network(finite, 0.0, 0.91)
 
 
