@@ -17,10 +17,10 @@ of the reference nodes.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -142,7 +142,9 @@ def _exact_states(
     current = x0.copy()
     i = filled = 0
     for k, t_k, t_next in signal.segments_between(0, times[-1]):
-        seg_start, seg_end = float(t_k), float(t_next)
+        seg_start = float(t_k)
+        # an end beyond the float range lies past every time
+        seg_end = float(t_next) if t_next <= sys.float_info.max else math.inf
         coefficients = None
         while i < len(times) and times[i] < seg_end:
             delta = times[i] - seg_start
@@ -175,25 +177,25 @@ def _exact_states(
         yield block[:filled]
 
 
-def _check_sample_grid(signal: SwitchingSignal, t_end: float, sample_dt: float) -> None:
-    """Raise :class:`ModelError` unless an array of the sample grid's states
-    can be allocated, tried (and dropped) before the grid is built.  The grid
-    has at most ``floor(t_end / sample_dt) + 1`` ticks plus the switch
-    instants and ``t_end``; a periodic signal's instants are counted,
-    exactly, by the periods that start before ``t_end``, without walking its
-    segments."""
-    ticks = math.floor(t_end / sample_dt) + 1
-    instants = signal.partitions
-    if signal.periodic:
-        instants *= math.ceil(Fraction(t_end) / signal.period_exact)
-    rows = ticks + instants + 1  # and t_end
+def _allocate_nodes(
+    signal: SwitchingSignal, t_end: float, step: float, refusal: str
+) -> NDArray[np.float64]:
+    """An uninitialised ``(rows, n*d)`` array, bounded before any segment is
+    walked, for a ``step`` grid up to ``t_end`` that also lands on each switch
+    instant and on ``t_end``: ``floor(t_end / step) + 1`` ticks, one row per
+    segment that starts before ``t_end``, and ``t_end``.  An array that
+    cannot be allocated raises :class:`ModelError` with
+    ``refusal.format(rows=rows)``."""
+    if signal.periodic or t_end < signal.period_exact:
+        k = signal.segment_index_at(t_end)
+        segments = k + (signal.switch_time_exact(k) < t_end)
+    else:
+        segments = signal.partitions
+    rows = math.floor(t_end / step) + 1 + segments + 1
     try:
-        np.empty((rows, signal.dims.stacked))
+        return np.empty((rows, signal.dims.stacked))
     except (MemoryError, ValueError) as error:  # ValueError: beyond any shape
-        raise ModelError(
-            f"the sample grid of sample_dt {sample_dt!r} up to t_end {t_end!r} "
-            f"has up to {rows} samples, more states than fit in memory"
-        ) from error
+        raise ModelError(refusal.format(rows=rows)) from error
 
 
 def _sample_times(
@@ -266,7 +268,10 @@ def simulate(
     """
     _check_horizon_time(signal, t_end)
     _check_step(t_end, sample_dt, "sample_dt")
-    _check_sample_grid(signal, t_end, sample_dt)
+    _allocate_nodes(  # the grid's states must fit before the grid is built
+        signal, t_end, sample_dt, f"the sample grid of sample_dt {sample_dt!r} up to "
+        f"t_end {t_end!r} has up to {{rows}} samples, more states than fit in memory"
+    )
     state = _stacked_state(x0, signal.dims)
     times = _sample_times(signal, t_end, sample_dt)
     trajectory = Trajectory(
@@ -316,70 +321,52 @@ def rk4_reference(
 ) -> Trajectory:
     """Integrate the switched dynamics with classical fixed-step Runge-Kutta.
 
-    The integrator never steps across a switch instant: each segment is
-    covered by full steps of ``step`` plus one shorter step to land exactly
-    on the segment boundary (or on ``t_end``).  Every integration node is
-    recorded, so the result doubles as a dense reference trajectory.  The
-    nodes are counted segment by segment first; each step's result is then
-    written into its row of one preallocated ``(nodes + 1, n*d)`` array, and
-    nothing else of that size is held.
+    The integrator never steps across a switch instant: each segment takes
+    ``floor(span / step)`` full steps of ``step``, then one landing step that
+    ends exactly on the switch instant (or on ``t_end``).  A full node that
+    is the ``same_instant`` of that end is the landing node, and a segment
+    within rounding of empty takes no step.  Every node is recorded, so the
+    result doubles as a dense reference trajectory: the nodes are bounded
+    before any segment is walked, written into one array of that many rows,
+    and the filled rows are returned.
 
-    A segment on which the largest step taken, times the largest eigenvalue
-    of its Laplacian, exceeds ``RK4_STABILITY_LIMIT`` raises
-    :class:`ModelError` before the first step is taken: the reference would
-    diverge on its own there.  So does a node count whose states cannot be
-    allocated.
+    A node bound whose states cannot be allocated raises :class:`ModelError`
+    before any step; so does, before its first step, a segment on which the
+    largest step taken times its Laplacian's largest eigenvalue exceeds
+    ``RK4_STABILITY_LIMIT``: the reference would diverge on its own there.
     """
     _check_horizon_time(signal, t_end)
     _check_step(t_end, step, "step")
     state = _stacked_state(x0, signal.dims)
-
-    # (laplacian, segment start, segment end, full steps, final short step)
-    plan: list[tuple[NDArray[np.float64], float, float, int, float | None]] = []
-    nodes = 0
-    last = seg_start = 0.0
-    for k, _, t_next in signal.segments_between(0, t_end):
-        seg_end = min(float(t_next), t_end)
-        span = seg_end - seg_start
-        lap = signal.segment_laplacian(k)
-        _check_stable_step(signal, k, min(step, span))
-        full = int(math.floor(span / step + 1e-12))
-        if full:
-            last = seg_start + full * step
-        remainder: float | None = seg_end - last
-        if remainder > 1e-12 * max(1.0, span):
-            last = seg_end
-        else:
-            remainder = None
-        plan.append((lap, seg_start, seg_end, full, remainder))
-        nodes += full + (remainder is not None)
-        seg_start = seg_end
-
-    try:
-        times = np.empty(nodes + 1)
-        states = np.empty((nodes + 1, state.shape[0]))
-    except (MemoryError, ValueError) as error:  # ValueError: beyond any shape
-        raise ModelError(
-            f"RK4 step {step!r} takes {nodes} steps up to t_end {t_end}, "
-            "more reference states than fit in memory"
-        ) from error
+    states = _allocate_nodes(
+        signal, t_end, step, f"RK4 step {step!r} up to t_end {t_end} has up to "
+        "{rows} nodes, more reference states than fit in memory"
+    )
+    times = np.empty(len(states))
     times[0] = 0.0
     states[0] = state
     j = 0
-    for lap, seg_start, seg_end, full, remainder in plan:
+    for k, t_k, t_next in signal.segments_between(0, t_end):
+        seg_start, seg_end = float(t_k), float(min(t_next, t_end))
+        span = seg_end - seg_start
+        lap = signal.segment_laplacian(k)
+        _check_stable_step(signal, k, min(step, span))
+        full = math.floor(span / step)
+        if same_instant(seg_start + full * step, seg_end):
+            full -= 1  # node ``full`` is the landing node; -1: no step at all
         for i in range(1, full + 1):
             states[j + 1] = _rk4_step(lap, states[j], step)
             j += 1
             times[j] = seg_start + i * step
-        if remainder is not None:
-            states[j + 1] = _rk4_step(lap, states[j], remainder)
+        if full >= 0:
+            states[j + 1] = _rk4_step(lap, states[j], seg_end - times[j])
             j += 1
             times[j] = seg_end
 
     return Trajectory(
         dims=signal.dims,
-        times=times,
-        states=states,
+        times=times[: j + 1],
+        states=states[: j + 1],
         consensus_point=average_consensus_point(state, signal.dims),
     )
 

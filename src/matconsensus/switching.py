@@ -119,9 +119,9 @@ class SwitchingSignal:
         for _, dt in segments:
             times.append(times[-1] + Fraction(dt))
         self._times: tuple[Fraction, ...] = tuple(times)
-        # duration of one pass through the segments
+        # duration of one pass through the segments, t_m
         self.period_exact: Fraction = times[-1]
-        self.period: float = float(times[-1])
+        self.period: float = self.switch_time(len(segments))
 
         self._laplacians: dict[int, NDArray[np.float64]] = {}
         self._eigensystems: dict[int, tuple[NDArray, NDArray]] = {}
@@ -161,7 +161,13 @@ class SwitchingSignal:
         return cycle * self.period_exact + self._times[index]
 
     def switch_time(self, k: int) -> float:
-        return float(self.switch_time_exact(k))
+        try:
+            return float(self.switch_time_exact(k))
+        except OverflowError:
+            raise ModelError(
+                f"switch instant t_{k}, the sum of the first {k} dwells, "
+                "is beyond the float range"
+            ) from None
 
     def segment_graph_index(self, k: int) -> int:
         return self.segments[self._locate(k)[1]][0]

@@ -359,6 +359,58 @@ def test_negative_tolerance_is_a_model_error(fixture_path, capsys):
     assert "Traceback" not in err
 
 
+def _huge_dwells(dwell):
+    def mutate(data):
+        for segment in data["signal"]["segments"]:
+            segment["dwell"] = dwell
+        data["signal"]["beta"] = 1e308
+
+    return mutate
+
+
+def _beyond(k):
+    return (
+        f"switch instant t_{k}, the sum of the first {k} dwells, "
+        "is beyond the float range"
+    )
+
+
+# The demo's Laplacians have eigenvalues of about -1e-15 by rounding, which
+# exact propagation over 1.7e308 time units turns into an infinite V.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "dwell, argv, message",
+    [
+        (1e308, ["validate"], _beyond(3)),
+        (1e308, ["analyze"], _beyond(3)),
+        (1e308, ["simulate"], _beyond(3)),
+        (3e307, ["analyze", "--horizon", "8"], _beyond(8)),
+        (
+            3e307,
+            ["simulate", "--t-end", "1.7e308", "--sample-dt", "1e308"],
+            "the trajectory's disagreement V left the float range",
+        ),
+    ],
+    ids=["sum-validate", "sum-analyze", "sum-simulate", "t8-analyze", "t6-simulate"],
+)
+def test_switch_instants_beyond_the_float_range_are_model_errors(
+    fixture_path, tmp_path, capsys, dwell, argv, message
+):
+    """Dwells of 1e308 sum beyond the float range, and dwells of 3e307 put
+    every switch instant from t_6 = 1.8e308 on beyond it.  A command that
+    needs that sum, or such an instant (the window scan's t_8), as a float
+    exits 2 naming it, not with an ``OverflowError`` traceback (exit 1).
+    ``simulate`` up to 1.7e308 never converts t_6, which lies past it."""
+    edit_fixture(fixture_path, _huge_dwells(dwell))
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "traj.csv")]
+    assert main([argv[0], str(fixture_path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def _per_cell_csv(stream, trajectory):
     """The CSV writer that formats and writes one cell list per line, kept
     as the byte reference for the sample-at-a-time writer."""

@@ -147,6 +147,14 @@ def _run(path, command):
 @example([("replace", ("initial_state", 0, 0), 1e308)])
 # a spread too wide for exact propagation to keep the network mean
 @example([("scale", ("graphs", "G2", 0, "weight"), 20)])
+# dwells that sum beyond the float range, and dwells of 3e307 or one dwell
+# of 1e308, whose switch instants within the analyze horizon lie beyond it
+@example([("replace", ("signal", "segments", k, "dwell"), 1e308) for k in range(3)]
+         + [("replace", ("signal", "beta"), 1e308)])
+@example([("replace", ("signal", "segments", k, "dwell"), 3e307) for k in range(3)]
+         + [("replace", ("signal", "beta"), 1e308)])
+@example([("replace", ("signal", "segments", 0, "dwell"), 1e308),
+          ("replace", ("signal", "beta"), 1e308)])
 def test_mutated_scenarios_end_cleanly(mutations):
     doc = copy.deepcopy(DEMO)
     for mutation in mutations:

@@ -152,3 +152,34 @@ def test_one_exception_class_per_exit_code():
         "scenario.ScenarioError",
         "cli._UsageError",
     }
+
+
+def _float_literal_sites(value: float) -> set[str]:
+    """``module.scope`` of every float literal equal to ``value`` under
+    ``src/``: its innermost function or class, and for a class-level
+    assignment the attribute it is assigned to."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(node, ast.ClassDef) and isinstance(child, ast.AnnAssign):
+                inner = f"{scope}.{ast.unparse(child.target)}"
+            if isinstance(child, ast.Constant) and child.value == value:
+                found.add(scope)
+            visit(child, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_one_rule_for_float_times():
+    """``same_instant`` is the one rounding rule for float times: the only
+    other ``1e-12`` under ``src/`` is the symmetry tolerance's default."""
+    assert _float_literal_sites(1e-12) == {
+        "switching.same_instant",
+        "tolerances.Tolerances.symmetry",
+    }

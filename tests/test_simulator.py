@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from matconsensus.switching import same_instant
 from conftest import DEMO_SEGMENTS, LAP_A, SEED, X0, random_graph
 
 THREE_SHORT = [(0, 0.3), (1, 0.3), (2, 0.3)]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_average_consensus_point(dims4x2, demo_initial_state):
@@ -174,13 +179,47 @@ def test_rk4_reference_scalar_closed_form():
     assert np.max(np.abs(trajectory.states - expected)) <= 1e-9
 
 
-def test_rk4_reference_subdivides_at_switches(demo_signal):
-    """Integration nodes never straddle a switch instant, even when the
-    step does not divide the dwell."""
-    trajectory = rk4_reference(demo_signal, X0, 6.0, 0.4)
-    times = trajectory.times.tolist()
-    for instant in (2.0, 5.0, 6.0):
-        assert any(abs(t - instant) <= 1e-9 for t in times)
+def test_rk4_reference_subdivides_at_switches(demo_graphs):
+    """Every switch instant in ``(0, t_end]``, and ``t_end``, is exactly an
+    integration node, so no step straddles a switch: on the demo, where the
+    step 0.4 does not divide the dwells, and with dwells of 0.3 at step 0.1,
+    where ``0.3 / 0.1`` is within rounding of 3 steps (3 * 0.1 is
+    0.30000000000000004, a few ulps past the switch)."""
+    t_end = 6.0
+    for segments, alpha, step in (
+        (DEMO_SEGMENTS, 0.5, 0.4),
+        ([(0, 0.3), (1, 0.3), (2, 1.0)], 0.05, 0.1),
+    ):
+        signal = SwitchingSignal(demo_graphs, segments, alpha, 4.0, periodic=True)
+        times = rk4_reference(signal, X0, t_end, step).times.tolist()
+        instants = [float(t_k) for _, t_k, _ in signal.segments_between(0, t_end)]
+        assert set(instants[1:] + [t_end]) <= set(times), segments
+        assert times[-1] == t_end
+        assert all(a < b for a, b in zip(times, times[1:]))
+
+
+def test_rk4_reference_refuses_an_enormous_horizon_at_once(scenario_path):
+    """1e13 nodes up to t_end 1e12 are bounded, and refused, before any of
+    the demo's 1.7e11 segments is walked (walking them first never
+    returned).  A subprocess with a timeout fails instead of hanging."""
+    script = (
+        "import sys\n"
+        "from matconsensus import ModelError, load_scenario, rk4_reference\n"
+        "scenario = load_scenario(sys.argv[1])\n"
+        "try:\n"
+        "    rk4_reference(scenario.signal, scenario.initial_state, 1e12, 0.1)\n"
+        "except ModelError as error:\n"
+        "    print(error)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(scenario_path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "more reference states than fit in memory" in result.stdout
 
 
 def test_max_oracle_deviation_demo(demo_signal, demo_initial_state):
