@@ -63,11 +63,7 @@ from .spectral import (
     null_space_basis,
     symmetric_eigen,
 )
-from .switching import (
-    SwitchingSignal,
-    build_periodic_signal,
-    integral_network,
-)
+from .switching import SwitchingSignal, integral_network
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"
@@ -98,7 +94,6 @@ __all__ = [
     "Window",
     "adjacency_matrix",
     "average_consensus_point",
-    "build_periodic_signal",
     "classify_definiteness",
     "consensus_subspace",
     "contraction_factor",

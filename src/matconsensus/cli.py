@@ -368,17 +368,15 @@ def _render_certificate(cert: dict[str, Any]) -> str:
             for w in cert["windows"]
         )
         return f"uniform contraction below {cert['threshold']!r}: {windows}"
-    if kind == "horizon_exhausted":
-        windows = " ".join(
-            f"[{w['start']},{w['stop']})"
-            + (f" mu={w['mu_next']:.6f}" if "mu_next" in w else "")
-            for w in cert["windows"]
-        )
-        return (
-            f"horizon {cert['horizon']} exhausted; closed windows: "
-            f"{windows or '(none)'}"
-        )
-    return json.dumps(cert, sort_keys=True)
+    windows = " ".join(  # horizon_exhausted
+        f"[{w['start']},{w['stop']})"
+        + (f" mu={w['mu_next']:.6f}" if "mu_next" in w else "")
+        for w in cert["windows"]
+    )
+    return (
+        f"horizon {cert['horizon']} exhausted; closed windows: "
+        f"{windows or '(none)'}"
+    )
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -12,7 +12,6 @@ directly and keep whatever non-zero class they are given.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -21,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ModelError
-from .spectral import Definiteness, _symmetry_defect, classify_definiteness
+from .spectral import Definiteness, classify_definiteness, require_symmetric
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 Edge = tuple[int, int]
@@ -114,17 +113,7 @@ def set_edge(
         raise ModelError(
             f"weight must be {d}x{d}, got shape {weight.shape}"
         )
-    # the largest magnitude is NaN or inf exactly when some entry is
-    magnitude = float(np.max(np.abs(weight), initial=0.0))
-    if not math.isfinite(magnitude):
-        raise ModelError(f"weight for edge ({i}, {j}) has non-finite entries")
-    defect = _symmetry_defect(weight)
-    scale = max(1.0, magnitude)
-    if defect > tolerances.symmetry * scale:
-        raise ModelError(
-            f"weight for edge ({i}, {j}) is asymmetric: "
-            f"max|W - W^T| = {defect:.3e}"
-        )
+    require_symmetric(weight, tolerances.symmetry, what=f"weight for edge ({i}, {j})")
     half = weight / 2.0
     symmetric = half + half.T
     definiteness = classify_definiteness(symmetric, tolerances)

@@ -45,11 +45,6 @@ class NullSpaceReport:
     basis: NDArray[np.float64]
     dimension: int
     equals_consensus: bool
-    threshold: float
-
-
-def _symmetry_defect(matrix: NDArray[np.float64]) -> float:
-    return float(np.max(np.abs(matrix - matrix.T), initial=0.0))
 
 
 def _scale(matrix: NDArray[np.float64]) -> float:
@@ -65,12 +60,15 @@ def require_symmetric(
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ModelError(f"{what} must be square, got shape {matrix.shape}")
-    defect = _symmetry_defect(matrix)
-    if math.isnan(defect):  # exactly when some entry is NaN or infinite
+    # the largest magnitude is NaN or inf exactly when some entry is, so
+    # M - M^T, which would warn on inf - inf, is formed only when finite
+    magnitude = float(np.max(np.abs(matrix), initial=0.0))
+    if not math.isfinite(magnitude):
         raise ModelError(
             f"{what} has non-finite entries: NaN, or beyond the float range"
         )
-    if defect > tol * _scale(matrix):
+    defect = float(np.max(np.abs(matrix - matrix.T), initial=0.0))
+    if defect > tol * max(1.0, magnitude):
         raise ModelError(
             f"{what} is not symmetric: max|M - M^T| = {defect:.3e}"
         )
@@ -168,12 +166,7 @@ def null_space_basis(
         agreement = consensus_subspace(dims)
         residual = float(np.max(np.abs(matrix @ agreement), initial=0.0))
         equals = residual <= threshold
-    return NullSpaceReport(
-        basis=basis,
-        dimension=dimension,
-        equals_consensus=equals,
-        threshold=threshold,
-    )
+    return NullSpaceReport(basis=basis, dimension=dimension, equals_consensus=equals)
 
 
 def eigen_exponential(

@@ -248,27 +248,6 @@ class SwitchingSignal:
         return cached
 
 
-def build_periodic_signal(
-    graphs: Sequence[MatrixWeightedGraph],
-    segments: Sequence[tuple[int, float]],
-    period: float,
-    alpha: float,
-    beta: float,
-) -> SwitchingSignal:
-    """Validate and build a periodic switching signal.
-
-    The dwell durations must sum to ``period`` (within 1e-9 relative), and
-    there must be more than two segments per period.
-    """
-    signal = SwitchingSignal(graphs, segments, alpha, beta, periodic=True)
-    if not (period > 0) or abs(signal.period - period) > 1e-9 * max(1.0, period):
-        raise ModelError(
-            f"segment dwells sum to {signal.period}, "
-            f"which does not match the declared period {period}"
-        )
-    return signal
-
-
 def integral_network(
     signal: SwitchingSignal,
     t_start: float,

@@ -15,7 +15,6 @@ from matconsensus import (
     DEFAULT_TOLERANCES,
     GraphDimensions,
     SwitchingSignal,
-    build_periodic_signal,
     integral_network,
     new_graph,
     set_edge,
@@ -100,8 +99,8 @@ DEMO_SEGMENTS = [(0, 2.0), (1, 3.0), (2, 1.0)]
 @pytest.fixture(scope="session")
 def demo_signal(demo_graphs) -> SwitchingSignal:
     """Periodic schedule: first graph for 2, second for 3, third for 1."""
-    return build_periodic_signal(
-        demo_graphs, DEMO_SEGMENTS, period=6.0, alpha=0.5, beta=4.0
+    return SwitchingSignal(
+        demo_graphs, DEMO_SEGMENTS, alpha=0.5, beta=4.0, periodic=True
     )
 
 

@@ -15,7 +15,6 @@ from matconsensus import (
     UniformContraction,
     Window,
     analysis,
-    build_periodic_signal,
     consensus_subspace,
     contraction_factor,
     integral_network,
@@ -80,7 +79,6 @@ def test_contraction_factor_identity(dims4x2):
     report = contraction_factor(np.eye(8), dims4x2)
     assert report.mu_next == pytest.approx(1.0, abs=1e-12)
     assert not report.contracts
-    assert np.allclose(report.eigenvalues, np.ones(8))
 
 
 def test_contraction_factor_period(demo_signal, dims4x2):
@@ -88,9 +86,6 @@ def test_contraction_factor_period(demo_signal, dims4x2):
     report = contraction_factor(phi, dims4x2)
     assert report.contracts
     assert report.mu_next == pytest.approx(MU_PERIOD, abs=1e-9)
-    # top d eigenvalues are exactly the agreement directions
-    assert np.allclose(report.eigenvalues[:2], 1.0, atol=1e-12)
-    assert report.eigenvalues[2] < 1.0
 
 
 def test_contraction_factor_spectral_mapping():
@@ -157,9 +152,9 @@ def test_periodic_verdict_requires_periodic_signal(demo_finite_signal):
 def test_periodic_verdict_no_consensus_witness(demo_graphs, dims4x2):
     """Repeating only the line graph never mixes node 4: the verdict is
     NO_CONSENSUS and the witness direction is frozen by every segment."""
-    signal = build_periodic_signal(
+    signal = SwitchingSignal(
         [demo_graphs[0]], [(0, 2.0), (0, 2.0), (0, 2.0)],
-        period=6.0, alpha=0.5, beta=4.0,
+        alpha=0.5, beta=4.0, periodic=True,
     )
     verdict = periodic_consensus_verdict(signal)
     assert verdict.decision is Decision.NO_CONSENSUS
@@ -193,8 +188,8 @@ def test_periodic_verdict_single_pd_tree_graph():
     dims = GraphDimensions(n=3, d=2)
     graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
     graph = set_edge(graph, 1, 2, np.eye(2))
-    signal = build_periodic_signal(
-        [graph], [(0, 1.0), (0, 1.0), (0, 1.0)], period=3.0, alpha=0.5, beta=2.0
+    signal = SwitchingSignal(
+        [graph], [(0, 1.0), (0, 1.0), (0, 1.0)], alpha=0.5, beta=2.0, periodic=True
     )
     verdict = periodic_consensus_verdict(signal)
     assert verdict.decision is Decision.CONSENSUS

@@ -49,7 +49,9 @@ def test_set_edge_rejections(dims4x2):
     graph = new_graph(dims4x2)
     with pytest.raises(ModelError, match="self-loop at node 2 is not allowed"):
         set_edge(graph, 2, 2, np.eye(2))
-    with pytest.raises(ModelError, match=r"edge \(0, 1\) is asymmetric"):
+    with pytest.raises(
+        ModelError, match=r"edge \(0, 1\) is not symmetric: max\|M - M\^T\| = "
+    ):
         set_edge(graph, 0, 1, [[1, 0.5], [0, 1]])
     with pytest.raises(ModelError, match=r"edge \(0, 1\) is indefinite"):
         set_edge(graph, 0, 1, [[1, 3], [3, 1]])  # eigenvalues 4 and -2

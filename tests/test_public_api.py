@@ -183,3 +183,17 @@ def test_one_rule_for_float_times():
         "switching.same_instant",
         "tolerances.Tolerances.symmetry",
     }
+
+
+def test_no_module_imports_a_private_name():
+    """A ``_``-prefixed name is private to its module: where another module
+    needs it, it is public, or the two modules share a public helper."""
+    imports = [
+        f"{path.stem}: from {node.module} import {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imports == []

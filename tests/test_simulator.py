@@ -18,7 +18,6 @@ from matconsensus import (
     ModelError,
     SwitchingSignal,
     average_consensus_point,
-    build_periodic_signal,
     laplacian,
     max_oracle_deviation,
     new_graph,
@@ -112,9 +111,9 @@ def test_simulate_from_consensus_stays_put(demo_signal, demo_initial_state, dims
 def test_simulate_isolated_node_is_frozen(demo_graphs):
     """Node 4 has no edges in the line graph, so a line-only signal leaves
     its state untouched."""
-    signal = build_periodic_signal(
+    signal = SwitchingSignal(
         [demo_graphs[0]], [(0, 2.0), (0, 2.0), (0, 2.0)],
-        period=6.0, alpha=0.5, beta=4.0,
+        alpha=0.5, beta=4.0, periodic=True,
     )
     trajectory = simulate(signal, X0, 30.0, 1.0)
     drift = trajectory.states[:, 6:8] - X0[6:8]
@@ -637,8 +636,8 @@ def test_oracle_holds_one_reference_sized_array(demo_graphs):
     fixed-size blocks: its traced peak stays within 1.5 times the
     reference states' bytes plus a small constant (the list-building
     oracle held about five such arrays)."""
-    signal = build_periodic_signal(
-        demo_graphs, DEMO_SEGMENTS, period=6.0, alpha=0.5, beta=4.0
+    signal = SwitchingSignal(
+        demo_graphs, DEMO_SEGMENTS, alpha=0.5, beta=4.0, periodic=True
     )
     states_bytes = rk4_reference(signal, X0, 12.0, 1e-3).states.nbytes
     tracemalloc.start()

@@ -14,7 +14,6 @@ from matconsensus import (
     GraphDimensions,
     ModelError,
     SwitchingSignal,
-    build_periodic_signal,
     classify_definiteness,
     integral_network,
     new_graph,
@@ -57,9 +56,9 @@ def test_build_switching_signal_rejections(demo_graphs):
         )
 
 
-def test_build_periodic_signal(demo_graphs):
-    signal = build_periodic_signal(
-        demo_graphs, [(0, 2.0), (1, 3.0), (2, 1.0)], period=6.0, alpha=0.5, beta=4.0
+def test_periodic_signal_period_and_indexing(demo_graphs):
+    signal = SwitchingSignal(
+        demo_graphs, [(0, 2.0), (1, 3.0), (2, 1.0)], alpha=0.5, beta=4.0, periodic=True
     )
     assert signal.partitions == 3
     assert signal.period == 6.0
@@ -68,23 +67,6 @@ def test_build_periodic_signal(demo_graphs):
     assert signal.segment_graph_index(5) == 2
     assert signal.switch_time(5) == 11.0
     assert signal.switch_time(6) == 12.0
-
-
-def test_build_periodic_signal_rejections(demo_graphs):
-    with pytest.raises(ModelError, match="more than two segments per period, got 2"):
-        build_periodic_signal(
-            demo_graphs, [(0, 2.0), (1, 4.0)], period=6.0, alpha=0.5, beta=4.0
-        )
-    with pytest.raises(
-        ModelError, match="dwells sum to 6.0, which does not match the declared period 5.0"
-    ):
-        build_periodic_signal(
-            demo_graphs,
-            [(0, 2.0), (1, 3.0), (2, 1.0)],
-            period=5.0,
-            alpha=0.5,
-            beta=4.0,
-        )
 
 
 def test_segment_index_at(demo_graphs, demo_signal, demo_finite_signal):
