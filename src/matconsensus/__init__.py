@@ -34,8 +34,6 @@ from .graphs import (
     GraphDimensions,
     MatrixWeightedGraph,
     WeightMatrix,
-    adjacency_matrix,
-    degree_matrix,
     laplacian,
     new_graph,
     set_edge,
@@ -92,12 +90,10 @@ __all__ = [
     "Verdict",
     "WeightMatrix",
     "Window",
-    "adjacency_matrix",
     "average_consensus_point",
     "classify_definiteness",
     "consensus_subspace",
     "contraction_factor",
-    "degree_matrix",
     "integral_network",
     "laplacian",
     "load_scenario",

@@ -82,7 +82,7 @@ class ContractionReport:
 
 
 def contraction_factor(
-    phi: TransitionMatrix | NDArray[np.float64],
+    phi: TransitionMatrix,
     dims: GraphDimensions,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> ContractionReport:
@@ -92,8 +92,7 @@ def contraction_factor(
     ``contracts`` requires ``mu_next < 1 - tolerances.mu_gap`` so that a
     verdict is never claimed on rounding noise.
     """
-    matrix = phi.matrix if isinstance(phi, TransitionMatrix) else np.asarray(phi, float)
-    eigenvalues, _ = symmetric_eigen(matrix.T @ matrix, tolerances)
+    eigenvalues, _ = symmetric_eigen(phi.matrix.T @ phi.matrix, tolerances)
     mu_next = float(eigenvalues[-1 - dims.d])
     return ContractionReport(mu_next=mu_next, contracts=mu_next < 1.0 - tolerances.mu_gap)
 

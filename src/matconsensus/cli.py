@@ -147,8 +147,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     edge_counts = ", ".join(
         "{} ({} edge{})".format(
             name,
-            scenario.graphs[name].edge_count,
-            "s" if scenario.graphs[name].edge_count != 1 else "",
+            len(scenario.graphs[name].edges),
+            "s" if len(scenario.graphs[name].edges) != 1 else "",
         )
         for name in scenario.graph_names
     )

@@ -5,13 +5,16 @@ Nodes are indexed ``0..n-1``; each node carries a state vector of dimension
 ``d``.  An edge ``(i, j)`` holds a symmetric ``d x d`` weight that is either
 positive definite or positive semi-definite — zero or indefinite weights are
 rejected at construction time, so "no entry" is the only encoding of "no
-edge".  Graph values are immutable: :func:`set_edge` returns a new graph.
+edge".  A graph is its dimensions and its edge map, and is immutable:
+:func:`set_edge` returns a new graph, copying the edge map, while a loader
+checks each weight with :func:`checked_weight` and builds the graph once.
 The integral network is such a graph too: its averaged weights are built
 directly and keep whatever non-zero class they are given.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -48,8 +51,8 @@ class GraphDimensions:
 @dataclass(frozen=True)
 class WeightMatrix:
     """An edge weight and its class: symmetric and PD or PSD from
-    :func:`set_edge`; an averaged weight keeps whatever non-zero class it
-    is given."""
+    :func:`checked_weight`; an averaged weight keeps whatever non-zero
+    class it is given."""
 
     entries: NDArray[np.float64]
     definiteness: Definiteness
@@ -68,40 +71,31 @@ class MatrixWeightedGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return _ordered(i, j) in self.edges
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-def _ordered(i: int, j: int) -> Edge:
-    return (i, j) if i < j else (j, i)
-
 
 def new_graph(dims: GraphDimensions) -> MatrixWeightedGraph:
     """An edgeless graph on ``dims.n`` nodes."""
     return MatrixWeightedGraph(dims=dims)
 
 
-def set_edge(
-    graph: MatrixWeightedGraph,
+def checked_weight(
+    dims: GraphDimensions,
     i: int,
     j: int,
     weight: NDArray[np.float64],
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> MatrixWeightedGraph:
-    """Return a new graph with edge ``(i, j)`` set to ``weight``.
-
-    The weight must be a symmetric ``d x d`` matrix that classifies as
-    positive definite or positive semi-definite.  Asymmetry beyond tolerance,
-    indefiniteness, (numerically) zero weights and non-finite entries are
-    each rejected with a :class:`ModelError` whose message names the fault.
-    Symmetric rounding noise is removed by storing ``W/2 + W^T/2``, which
-    does not overflow.
-    """
-    n, d = graph.dims.n, graph.dims.d
+) -> WeightMatrix:
+    """The checked, stored form of ``weight`` for edge ``(i, j)``.  The nodes
+    must be distinct integers in ``[0, n)`` and the weight a symmetric
+    ``d x d`` PD or PSD matrix; asymmetry beyond tolerance, indefiniteness,
+    a (numerically) zero weight and non-finite entries each raise a
+    :class:`ModelError` naming the fault.  Rounding noise is removed by
+    storing ``W/2 + W^T/2``, which does not overflow."""
+    n, d = dims.n, dims.d
+    for index in (i, j):
+        try:
+            operator.index(index)
+        except TypeError:
+            raise ModelError(f"node index {index!r} is not an integer") from None
     if not (0 <= i < n and 0 <= j < n):
         raise ModelError(
             f"node indices must lie in [0, {n}), got ({i}, {j})"
@@ -127,44 +121,42 @@ def set_edge(
             f"weight for edge ({i}, {j}) is indefinite"
         )
     symmetric.setflags(write=False)
+    return WeightMatrix(entries=symmetric, definiteness=definiteness)
+
+
+def set_edge(
+    graph: MatrixWeightedGraph,
+    i: int,
+    j: int,
+    weight: NDArray[np.float64],
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> MatrixWeightedGraph:
+    """A new graph with edge ``(i, j)`` set to :func:`checked_weight`'s result;
+    the edge map is copied, so building ``m`` edges this way costs ``O(m^2)``."""
     edges = dict(graph.edges)
-    edges[_ordered(i, j)] = WeightMatrix(entries=symmetric, definiteness=definiteness)
+    edges[min(i, j), max(i, j)] = checked_weight(graph.dims, i, j, weight, tolerances)
     return MatrixWeightedGraph(dims=graph.dims, edges=edges)
 
 
-def adjacency_matrix(graph: MatrixWeightedGraph) -> NDArray[np.float64]:
-    """The stacked ``nd x nd`` block adjacency matrix."""
-    d = graph.dims.d
-    adj = np.zeros((graph.dims.stacked, graph.dims.stacked))
-    for (i, j), weight in graph.edges.items():
-        adj[i * d : (i + 1) * d, j * d : (j + 1) * d] = weight.entries
-        adj[j * d : (j + 1) * d, i * d : (i + 1) * d] = weight.entries
-    return adj
-
-
-def degree_matrix(graph: MatrixWeightedGraph) -> NDArray[np.float64]:
-    """Block-diagonal degree matrix; block ``i`` is the sum of the weights
-    of all edges incident to node ``i``."""
-    d = graph.dims.d
-    deg = np.zeros((graph.dims.stacked, graph.dims.stacked))
-    for (i, j), weight in graph.edges.items():
-        deg[i * d : (i + 1) * d, i * d : (i + 1) * d] += weight.entries
-        deg[j * d : (j + 1) * d, j * d : (j + 1) * d] += weight.entries
-    return deg
-
-
 def laplacian(graph: MatrixWeightedGraph) -> NDArray[np.float64]:
-    """The read-only ``nd x nd`` degree-minus-adjacency block Laplacian of
-    the graph: symmetric and positive semi-definite, with every block row
-    summing to the zero block.  Raises :class:`ModelError` if the matrices
-    it is built from cannot be allocated."""
+    """The read-only ``nd x nd`` block Laplacian ``D - A``: symmetric and
+    positive semi-definite, every block row summing to the zero block.  Each
+    weight ``W`` is added to its two diagonal blocks of one array and stored
+    as ``0.0 - W`` (the bits of ``D - A``) in its two off-diagonal blocks.
+    Raises :class:`ModelError` if that array cannot be allocated."""
+    n, d = graph.dims.n, graph.dims.d
+    size = graph.dims.stacked
     try:
-        matrix = degree_matrix(graph) - adjacency_matrix(graph)
+        matrix = np.zeros((size, size))
     except (MemoryError, ValueError) as error:  # ValueError: beyond any shape
-        size = graph.dims.stacked
         raise ModelError(
             f"the Laplacian for n*d = {size} is {size}x{size}, "
             "more entries than fit in memory"
         ) from error
+    blocks = matrix.reshape(n, d, n, d)  # blocks[i, :, j] is block (i, j)
+    for (i, j), weight in graph.edges.items():
+        blocks[i, :, i] += weight.entries
+        blocks[j, :, j] += weight.entries
+        blocks[i, :, j] = blocks[j, :, i] = 0.0 - weight.entries
     matrix.setflags(write=False)
     return matrix

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ModelError
-from .graphs import GraphDimensions, MatrixWeightedGraph, new_graph, set_edge
+from .graphs import GraphDimensions, MatrixWeightedGraph, WeightMatrix, checked_weight
 from .switching import SwitchingSignal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -184,7 +184,7 @@ def parse_scenario(data: dict) -> Scenario:
     for name, edges_raw in graphs_raw.items():
         gpath = f"graphs.{name}"
         edges_raw = _expect(edges_raw, list, gpath, "a list of edges")
-        graph = new_graph(dims)
+        edges: dict[tuple[int, int], WeightMatrix] = {}
         for idx, edge_raw in enumerate(edges_raw):
             epath = f"{gpath}[{idx}]"
             edge_raw = _expect(edge_raw, dict, epath, "an edge object")
@@ -195,16 +195,17 @@ def parse_scenario(data: dict) -> Scenario:
                 raise ScenarioError(
                     epath, f"node indices must lie in 1..{n}, got ({i}, {j})"
                 )
-            if graph.has_edge(i - 1, j - 1):
+            pair = (min(i, j) - 1, max(i, j) - 1)
+            if pair in edges:
                 raise ScenarioError(epath, f"duplicate edge ({i}, {j})")
             weight = _parse_weight(
                 _get(edge_raw, "weight", epath), d, f"{epath}.weight"
             )
             try:
-                graph = set_edge(graph, i - 1, j - 1, weight, tolerances)
+                edges[pair] = checked_weight(dims, i - 1, j - 1, weight, tolerances)
             except ModelError as error:
                 raise _contextualize(error, epath) from error
-        graphs[name] = graph
+        graphs[name] = MatrixWeightedGraph(dims, edges)
 
     signal_raw = _expect(_get(data, "signal", ""), dict, "signal", "an object")
     _reject_unknown(signal_raw, {"segments", "periodic", "alpha", "beta"}, "signal")

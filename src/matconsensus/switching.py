@@ -16,6 +16,7 @@ network) has no rounding drift, while all matrix arithmetic stays in floats.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -89,7 +90,16 @@ class SwitchingSignal:
                 f"dwell bounds must satisfy 0 < alpha <= beta, "
                 f"got alpha={alpha}, beta={beta}"
             )
-        segments = tuple((int(g), float(dt)) for g, dt in segments)
+        indexed: list[tuple[int, float]] = []
+        for k, (g, dt) in enumerate(segments):
+            try:
+                g = operator.index(g)
+            except TypeError:
+                raise ModelError(
+                    f"segment {k} graph index {g!r} is not an integer"
+                ) from None
+            indexed.append((g, float(dt)))
+        segments = tuple(indexed)
         if not segments:
             raise ModelError("a switching signal needs at least one segment")
         for k, (g, dt) in enumerate(segments):

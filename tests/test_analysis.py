@@ -12,6 +12,7 @@ from matconsensus import (
     NullSpaceObstruction,
     PositiveSpanningTree,
     SwitchingSignal,
+    TransitionMatrix,
     UniformContraction,
     Window,
     analysis,
@@ -76,7 +77,7 @@ def test_transition_fixes_consensus_and_never_expands(demo_signal, dims4x2):
 
 
 def test_contraction_factor_identity(dims4x2):
-    report = contraction_factor(np.eye(8), dims4x2)
+    report = contraction_factor(TransitionMatrix(0, 1, np.eye(8)), dims4x2)
     assert report.mu_next == pytest.approx(1.0, abs=1e-12)
     assert not report.contracts
 

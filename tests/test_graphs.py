@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +7,31 @@ import pytest
 from matconsensus import (
     Definiteness,
     GraphDimensions,
+    MatrixWeightedGraph,
     ModelError,
-    adjacency_matrix,
+    WeightMatrix,
     cli,
-    degree_matrix,
     laplacian,
     new_graph,
     set_edge,
 )
-from conftest import LAP_A, LAP_B, LAP_C
+from conftest import LAP_A, LAP_B, LAP_C, random_graph
+
+
+def _reference_laplacian(graph):
+    """``D - A`` from two full ``nd x nd`` arrays, the block degree and
+    block adjacency matrices: the definition ``laplacian`` must match byte
+    for byte."""
+    d = graph.dims.d
+    adj = np.zeros((graph.dims.stacked, graph.dims.stacked))
+    for (i, j), weight in graph.edges.items():
+        adj[i * d : (i + 1) * d, j * d : (j + 1) * d] = weight.entries
+        adj[j * d : (j + 1) * d, i * d : (i + 1) * d] = weight.entries
+    deg = np.zeros((graph.dims.stacked, graph.dims.stacked))
+    for (i, j), weight in graph.edges.items():
+        deg[i * d : (i + 1) * d, i * d : (i + 1) * d] += weight.entries
+        deg[j * d : (j + 1) * d, j * d : (j + 1) * d] += weight.entries
+    return deg - adj
 
 
 def test_dimensions_reject_degenerate_sizes():
@@ -26,21 +43,21 @@ def test_dimensions_reject_degenerate_sizes():
 
 
 def test_set_edge_classifies_and_stores(dims4x2):
-    graph = set_edge(new_graph(dims4x2), 0, 1, [[1, 1], [1, 2]])
-    assert graph.has_edge(0, 1) and graph.has_edge(1, 0)
+    graph = set_edge(new_graph(dims4x2), 1, 0, [[1, 1], [1, 2]])
+    assert list(graph.edges) == [(0, 1)]
     assert graph.edges[(0, 1)].definiteness is Definiteness.POSITIVE_DEFINITE
 
     graph = set_edge(graph, 1, 2, [[1, 1], [1, 1]])
     assert graph.edges[(1, 2)].definiteness is Definiteness.POSITIVE_SEMIDEFINITE
-    assert graph.edge_count == 2
+    assert len(graph.edges) == 2
 
 
 def test_set_edge_is_functional(dims4x2):
     """set_edge returns a new graph; the original is untouched."""
     empty = new_graph(dims4x2)
     grown = set_edge(empty, 0, 1, np.eye(2))
-    assert empty.edge_count == 0
-    assert grown.edge_count == 1
+    assert len(empty.edges) == 0
+    assert len(grown.edges) == 1
     with pytest.raises(ValueError):
         grown.edges[(0, 1)].entries[0, 0] = 5.0  # stored weights are read-only
 
@@ -63,6 +80,17 @@ def test_set_edge_rejections(dims4x2):
         set_edge(graph, 0, 4, np.eye(2))
 
 
+def test_set_edge_rejects_non_integer_indices():
+    """A float index is refused before it becomes an edge key that
+    ``laplacian`` cannot slice with; a numpy integer is accepted."""
+    graph = new_graph(GraphDimensions(n=2, d=1))
+    with pytest.raises(ModelError, match=r"^node index 0\.5 is not an integer$"):
+        set_edge(graph, 0.5, 1, [[1.0]])
+    with pytest.raises(ModelError, match=r"^node index 1\.0 is not an integer$"):
+        set_edge(graph, 0, 1.0, [[1.0]])
+    assert list(set_edge(graph, np.int64(1), 0, [[1.0]]).edges) == [(0, 1)]
+
+
 def test_set_edge_symmetrizes_rounding_noise(dims4x2):
     noisy = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
     graph = set_edge(new_graph(dims4x2), 0, 1, noisy)
@@ -72,13 +100,13 @@ def test_set_edge_symmetrizes_rounding_noise(dims4x2):
 
 def test_degree_blocks(dims4x2, demo_graphs):
     g_line, g_star, g_link = demo_graphs
-    assert np.array_equal(degree_matrix(new_graph(dims4x2)), np.zeros((8, 8)))
+    assert np.array_equal(laplacian(new_graph(dims4x2)), np.zeros((8, 8)))
     # node 4 of the star graph accumulates both incident weights
-    deg = degree_matrix(g_star)
-    assert np.array_equal(deg[6:8, 6:8], np.diag([2.0, 2.0]))
+    lap = laplacian(g_star)
+    assert np.array_equal(lap[6:8, 6:8], np.diag([2.0, 2.0]))
     # node 2 of the single-link graph carries that link's weight
-    deg = degree_matrix(g_link)
-    assert np.array_equal(deg[2:4, 2:4], np.array([[1.0, -1.0], [-1.0, 2.0]]))
+    lap = laplacian(g_link)
+    assert np.array_equal(lap[2:4, 2:4], np.array([[1.0, -1.0], [-1.0, 2.0]]))
 
 
 def test_laplacian_matches_frozen_matrices(demo_graphs):
@@ -87,10 +115,32 @@ def test_laplacian_matches_frozen_matrices(demo_graphs):
         assert np.array_equal(laplacian(graph), expected)
 
 
-def test_laplacian_is_degree_minus_adjacency(demo_graphs):
-    for graph in demo_graphs:
-        expected = degree_matrix(graph) - adjacency_matrix(graph)
-        assert np.array_equal(laplacian(graph), expected)
+def test_laplacian_is_degree_minus_adjacency(dims4x2, demo_graphs, rng):
+    """Byte for byte, signed zeros included: a weight with ``-0.0``
+    entries and nodes with several incident edges are among the cases."""
+    signed_zero = set_edge(new_graph(dims4x2), 0, 1, [[1.0, -0.0], [-0.0, 2.0]])
+    signed_zero = set_edge(signed_zero, 1, 2, [[3.0, -0.0], [-0.0, 0.0]])
+    graphs = [*demo_graphs, new_graph(dims4x2), signed_zero]
+    for _ in range(20):
+        dims = GraphDimensions(n=int(rng.integers(2, 7)), d=int(rng.integers(1, 4)))
+        graphs.append(random_graph(rng, dims, edge_prob=0.7))
+    for graph in graphs:
+        assert laplacian(graph).tobytes() == _reference_laplacian(graph).tobytes()
+
+
+def test_laplacian_allocates_only_its_result():
+    """One ``nd x nd`` array: the peak traced while building a path graph's
+    Laplacian is its bytes plus small temporaries, not ``D`` and ``A``."""
+    dims = GraphDimensions(n=400, d=2)
+    weight = WeightMatrix(np.eye(2), Definiteness.POSITIVE_DEFINITE)
+    graph = MatrixWeightedGraph(dims, {(k, k + 1): weight for k in range(dims.n - 1)})
+    tracemalloc.start()
+    try:
+        lap = laplacian(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= lap.nbytes + 64 * 2**10
 
 
 def test_laplacian_block_rows_sum_to_zero(demo_graphs):
@@ -109,8 +159,6 @@ def test_laplacian_block_rows_sum_to_zero(demo_graphs):
 def test_laplacian_symmetric_psd(rng):
     for _ in range(20):
         dims = GraphDimensions(n=int(rng.integers(2, 6)), d=int(rng.integers(1, 4)))
-        from conftest import random_graph
-
         lap = laplacian(random_graph(rng, dims))
         assert np.array_equal(lap, lap.T)
         assert np.linalg.eigvalsh(lap).min() > -1e-9

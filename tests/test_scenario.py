@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from matconsensus import (
     scenario_to_dict,
 )
 from conftest import LAP_A, X0
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def minimal_scenario() -> dict:
@@ -40,7 +46,7 @@ def test_load_fixture(scenario_path):
     assert scenario.run.horizon == 8
     # edges were converted from 1-based file indices to 0-based
     g1 = scenario.graphs["G1"]
-    assert g1.has_edge(0, 1) and g1.has_edge(1, 2)
+    assert list(g1.edges) == [(0, 1), (1, 2)]
     assert g1.edges[(0, 1)].definiteness is Definiteness.POSITIVE_DEFINITE
     from matconsensus import laplacian
 
@@ -114,6 +120,29 @@ def test_duplicate_edge_rejected():
     data["graphs"]["pair"].append({"i": 2, "j": 1, "weight": [2.0]})
     with pytest.raises(ScenarioError, match="duplicate"):
         parse_scenario(data)
+
+
+def test_validate_of_a_30000_edge_graph_ends(tmp_path):
+    """Each graph is built once, so loading is linear in its edge count: a
+    30,000-edge path validates well within the timeout, where rebuilding
+    the graph for every edge takes about a minute."""
+    edges = 30_000
+    data = minimal_scenario()
+    data["dimensions"]["n"] = edges + 1
+    data["graphs"]["pair"] = [
+        {"i": k, "j": k + 1, "weight": [1.0]} for k in range(1, edges + 1)
+    ]
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(data))
+    result = subprocess.run(
+        [sys.executable, "-m", "matconsensus", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert f"OK graphs: pair ({edges} edges)" in result.stdout
 
 
 def test_semantic_violations_keep_their_error_type():

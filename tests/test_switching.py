@@ -56,6 +56,16 @@ def test_build_switching_signal_rejections(demo_graphs):
         )
 
 
+def test_switching_signal_rejects_a_non_integer_graph_index(demo_graphs):
+    """A float graph index is refused, not truncated (``int(2.7)`` would
+    pick graph 2), and a numpy integer is stored as an ``int``."""
+    segments = [(0, 1.0), (1, 1.0), (2.7, 1.0)]
+    with pytest.raises(ModelError, match=r"^segment 2 graph index 2\.7 is not an integer$"):
+        SwitchingSignal(demo_graphs, segments, alpha=0.5, beta=4.0)
+    signal = SwitchingSignal(demo_graphs, [(np.int64(2), 1.0)], alpha=0.5, beta=4.0)
+    assert signal.segments == ((2, 1.0),) and type(signal.segments[0][0]) is int
+
+
 def test_periodic_signal_period_and_indexing(demo_graphs):
     signal = SwitchingSignal(
         demo_graphs, [(0, 2.0), (1, 3.0), (2, 1.0)], alpha=0.5, beta=4.0, periodic=True
