@@ -1,0 +1,156 @@
+"""Run the same command-line invocations against two source trees and
+compare their outputs byte for byte.
+
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--work DIR]
+
+``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``matconsensus``
+package, such as the ``src`` of two checkouts.  Each invocation runs as
+``python3 -m matconsensus ...`` in a fresh interpreter with one BLAS thread
+and that tree on ``PYTHONPATH``.  The exit code and the sha256 of stdout,
+stderr and the CSV written by ``--out`` must match.  The list covers:
+
+* the demo scenario: ``validate``, ``analyze`` as text and as JSON, with
+  ``--span 0 2`` and with ``--horizon 9``, and ``simulate --oracle``;
+* the seed-0 benchmark scenarios ``periodic-mid``, ``finite-long`` and
+  ``periodic-large``: ``validate``, ``analyze`` and ``simulate``;
+* demo variants with faulty edges, each through ``validate`` and
+  ``analyze``: the first bad edge must be reported the same way.
+
+Prints one line per invocation and exits 1 if any differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "scenarios" / "four_agent_periodic.json"
+BENCHMARK_SCENARIOS = ("periodic-mid", "finite-long", "periodic-large")
+TIMEOUT_S = 600
+
+
+def _edge(i: int, j: int, weight: list) -> dict:
+    return {"i": i, "j": j, "weight": weight}
+
+
+_OK = [1, 0, 0, 1]
+_HUGE = [1e308, 1e308, 1e308, 1e308]  # eigenvalue 2e308: classified rescaled
+
+# name -> replaced edge lists of the demo's graphs; every list starts with a
+# valid edge so that the fault is not the graph's first weight
+FAULTS: dict[str, dict[str, list[dict]]] = {
+    "weight-then-index": {
+        "G1": [_edge(1, 2, _OK), _edge(2, 3, [0, 0, 0, 0]), _edge(3, 9, _OK)]
+    },
+    "index-then-weight": {
+        "G1": [_edge(1, 2, _OK), _edge(3, 9, _OK), _edge(2, 3, [1, 3, 3, 1])]
+    },
+    "duplicate-after-bad-weight": {
+        "G1": [_edge(1, 2, _OK), _edge(2, 3, [1, 3, 3, 1]), _edge(2, 1, _OK)]
+    },
+    "second-graph": {"G2": [_edge(2, 4, _OK), _edge(3, 4, [0, 0, 0, 0])]},
+    "non-finite": {"G1": [_edge(1, 2, _OK), _edge(2, 3, [1, 0, 0, 1e999])]},
+    "asymmetric": {"G1": [_edge(1, 2, _OK), _edge(2, 3, [1, 2, 0, 1])]},
+    "zero": {"G1": [_edge(1, 2, _OK), _edge(2, 3, [0, 0, 0, 0])]},
+    "indefinite": {"G1": [_edge(1, 2, _OK), _edge(2, 3, [1, 3, 3, 1])]},
+    "self-loop": {"G1": [_edge(1, 2, _OK), _edge(3, 3, _OK)]},
+    "overflowing-spectrum": {"G1": [_edge(1, 2, _OK), _edge(2, 3, _HUGE)]},
+    "overflowing-spectrum-then-zero": {
+        "G1": [_edge(1, 2, _HUGE), _edge(2, 3, [0, 0, 0, 0])]
+    },
+}
+
+
+def write_scenarios(directory: Path) -> list[tuple[str, list[str]]]:
+    """Write every scenario the invocations read; returns ``(label, argv)``
+    pairs, with ``{csv}`` standing for the CSV path of ``--out``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from generate import write_scenario
+
+    demo = str(DEMO)
+    invocations = [
+        ("demo validate", ["validate", demo]),
+        ("demo analyze text", ["analyze", demo]),
+        ("demo analyze json", ["analyze", demo, "--format", "json"]),
+        ("demo analyze --span 0 2", ["analyze", demo, "--span", "0", "2"]),
+        ("demo analyze --horizon 9", ["analyze", demo, "--horizon", "9"]),
+        ("demo simulate --oracle", ["simulate", demo, "--oracle", "--out", "{csv}"]),
+    ]
+    for name in BENCHMARK_SCENARIOS:
+        path = str(write_scenario(name, 0, directory))
+        invocations += [
+            (f"{name} validate", ["validate", path]),
+            (f"{name} analyze", ["analyze", path, "--format", "json"]),
+            (f"{name} simulate", ["simulate", path, "--out", "{csv}"]),
+        ]
+    base = json.loads(DEMO.read_text())
+    for name, graphs in FAULTS.items():
+        doc = copy.deepcopy(base)
+        doc["graphs"].update(graphs)
+        path = directory / f"fault-{name}.json"
+        path.write_text(json.dumps(doc))
+        invocations += [
+            (f"fault {name} validate", ["validate", str(path)]),
+            (f"fault {name} analyze", ["analyze", str(path), "--format", "json"]),
+        ]
+    return invocations
+
+
+def run(src: Path, argv: list[str], csv: Path) -> dict[str, str | int]:
+    """Exit code and output digests of one invocation against ``src``."""
+    csv.unlink(missing_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [arg.replace("{csv}", str(csv)) for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-m", "matconsensus", *argv],
+        capture_output=True,
+        env=env,
+        timeout=TIMEOUT_S,
+    )
+    digest = lambda data: hashlib.sha256(data).hexdigest()  # noqa: E731
+    return {
+        "exit": result.returncode,
+        "stdout": digest(result.stdout),
+        "stderr": digest(result.stderr),
+        "csv": digest(csv.read_bytes()) if csv.is_file() else "-",
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument(
+        "--work", type=Path, help="scratch directory (default: a temporary one)"
+    )
+    args = parser.parse_args()
+    for src in (args.old_src, args.new_src):
+        if not (src / "matconsensus" / "cli.py").is_file():
+            parser.error(f"no matconsensus package under {src}")
+
+    with tempfile.TemporaryDirectory() as temporary:
+        work = args.work or Path(temporary)
+        work.mkdir(parents=True, exist_ok=True)
+        invocations = write_scenarios(work)
+        differing = 0
+        for label, argv in invocations:
+            old = run(args.old_src.resolve(), argv, work / "old.csv")
+            new = run(args.new_src.resolve(), argv, work / "new.csv")
+            fields = [key for key in old if old[key] != new[key]]
+            differing += bool(fields)
+            status = "differs in " + ", ".join(fields) if fields else "equal"
+            print(f"{label:<44} exit {old['exit']}  {status}", flush=True)
+    print(f"{len(invocations) - differing} of {len(invocations)} invocations equal")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ from .analysis import (
     ContractionReport,
     Decision,
     HorizonExhausted,
+    IntegralReport,
     NullSpaceMatch,
     NullSpaceObstruction,
     PositiveSpanningTree,
@@ -23,6 +24,7 @@ from .analysis import (
     Verdict,
     Window,
     contraction_factor,
+    integral_report,
     necessary_condition_scan,
     periodic_consensus_verdict,
     positive_spanning_tree,
@@ -73,6 +75,7 @@ __all__ = [
     "Definiteness",
     "GraphDimensions",
     "HorizonExhausted",
+    "IntegralReport",
     "MatrixWeightedGraph",
     "ModelError",
     "NullSpaceMatch",
@@ -95,6 +98,7 @@ __all__ = [
     "consensus_subspace",
     "contraction_factor",
     "integral_network",
+    "integral_report",
     "laplacian",
     "load_scenario",
     "max_oracle_deviation",

@@ -348,8 +348,39 @@ def _obstruction_witness(
     return witness
 
 
+@dataclass(frozen=True)
+class IntegralReport:
+    """The integral network over ``span`` and what the consensus tests read
+    off it: the null space of its Laplacian, and the search for a spanning
+    tree of positive-definite averaged edges as
+    :func:`positive_spanning_tree` returns it."""
+
+    span: tuple[float, float]
+    network: MatrixWeightedGraph
+    null_space: NullSpaceReport
+    spanning_tree: tuple[bool, tuple[Edge, ...]]
+
+
+def integral_report(
+    span: tuple[float, float],
+    network: tuple[MatrixWeightedGraph, NDArray[np.float64]],
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> IntegralReport:
+    """The :class:`IntegralReport` of ``network``, the averaged graph and
+    Laplacian that :func:`integral_network` returns for ``span``."""
+    averaged, avg_laplacian = network
+    return IntegralReport(
+        span=span,
+        network=averaged,
+        null_space=null_space_basis(avg_laplacian, averaged.dims, tolerances),
+        spanning_tree=positive_spanning_tree(averaged),
+    )
+
+
 def periodic_consensus_verdict(
-    signal: SwitchingSignal, tolerances: Tolerances = DEFAULT_TOLERANCES
+    signal: SwitchingSignal,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    integral: IntegralReport | None = None,
 ) -> Verdict:
     """Exact consensus decision for a periodic signal.
 
@@ -360,18 +391,31 @@ def periodic_consensus_verdict(
     positive-definite averaged edges; on failure it carries a unit blocking
     direction from the same null space, which every segment Laplacian of
     the period annihilates.
+
+    ``integral`` is this signal's :func:`integral_report` over one period
+    ``[0, period)`` with these tolerances, where the caller already has it;
+    one over another span raises :class:`ModelError`.
     """
     if not signal.periodic:
         raise ModelError(
             "periodic_consensus_verdict requires a periodic signal"
         )
-    averaged, avg_laplacian = integral_network(signal, 0.0, signal.period, tolerances)
-    report = null_space_basis(avg_laplacian, signal.dims, tolerances)
+    period = (0.0, signal.period)
+    if integral is None:
+        integral = integral_report(
+            period, integral_network(signal, *period, tolerances), tolerances
+        )
+    elif integral.span != period:
+        raise ModelError(
+            f"the integral report spans [{integral.span[0]!r}, "
+            f"{integral.span[1]!r}), not one period [0.0, {signal.period!r})"
+        )
+    report = integral.null_space
     if report.equals_consensus:
         certificates: list[Certificate] = [
-            NullSpaceMatch(span=(0.0, signal.period), dimension=report.dimension)
+            NullSpaceMatch(span=period, dimension=report.dimension)
         ]
-        has_tree, tree_edges = positive_spanning_tree(averaged)
+        has_tree, tree_edges = integral.spanning_tree
         if has_tree:
             certificates.append(PositiveSpanningTree(edges=tree_edges))
         return Verdict(Decision.CONSENSUS, tuple(certificates))
@@ -418,12 +462,14 @@ def sufficient_condition_certificate(
     consensus certificate via uniform window contraction.
 
     For each window the scan closed, the transition matrix is formed and
-    its contraction factor computed.  If the windows tile the scan's
-    horizon exactly (the scan is INCONCLUSIVE rather than NO_CONSENSUS)
-    and every factor is at most ``q_threshold`` and below ``1 -
-    tolerances.mu_gap``, the disagreement shrinks geometrically across
-    windows and consensus is certified.  Otherwise the verdict is
-    INCONCLUSIVE, reporting the windows with their factors.
+    its contraction factor computed, once for all windows that start at the
+    same position ``start mod m`` of the segment list and have the same
+    length.  If the windows tile the scan's horizon exactly (the scan is
+    INCONCLUSIVE rather than NO_CONSENSUS) and every factor is at most
+    ``q_threshold`` and below ``1 - tolerances.mu_gap``, the disagreement
+    shrinks geometrically across windows and consensus is certified.
+    Otherwise the verdict is INCONCLUSIVE, reporting the windows with their
+    factors.
     """
     if not (0.0 < q_threshold < 1.0):
         raise ModelError(
@@ -436,9 +482,16 @@ def sufficient_condition_certificate(
         raise TypeError("scan must be a verdict of necessary_condition_scan")
     measured: list[Window] = []
     uniform = scan.decision is Decision.INCONCLUSIVE
+    # a window's transition matrix is the product of the exponentials of
+    # segments start mod m onwards, so windows that agree in start mod m
+    # and length share it, bit for bit
+    factors: dict[tuple[int, int], ContractionReport] = {}
     for window in exhausted.windows:
-        phi = transition_matrix(signal, window.start, window.stop)
-        factor = contraction_factor(phi, signal.dims, tolerances)
+        key = (window.start % signal.partitions, window.stop - window.start)
+        factor = factors.get(key)
+        if factor is None:
+            phi = transition_matrix(signal, window.start, window.stop)
+            factor = factors[key] = contraction_factor(phi, signal.dims, tolerances)
         measured.append(replace(window, mu_next=factor.mu_next))
         uniform = uniform and factor.contracts and factor.mu_next <= q_threshold
     horizon = exhausted.horizon

@@ -25,9 +25,9 @@ from .analysis import (
     UniformContraction,
     Verdict,
     Window,
+    integral_report,
     necessary_condition_scan,
     periodic_consensus_verdict,
-    positive_spanning_tree,
     sufficient_condition_certificate,
 )
 from .errors import ModelError
@@ -229,10 +229,17 @@ def _verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
 
 def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any]:
     tolerances = scenario.tolerances
+    signal = scenario.signal
+    # a segment of each graph the signal uses, whose eigensystem it caches
+    segment_of = {g: k for k, (g, _) in enumerate(signal.segments)}
     graphs_doc: dict[str, Any] = {}
-    for name in scenario.graph_names:
+    for g, name in enumerate(scenario.graph_names):  # graph g of the signal
         graph = scenario.graphs[name]
-        null = null_space_basis(laplacian(graph), scenario.dims, tolerances)
+        k = segment_of.get(g)
+        eigensystem = None if k is None else signal.segment_eigensystem(k)
+        null = null_space_basis(
+            laplacian(graph), scenario.dims, tolerances, eigensystem
+        )
         graphs_doc[name] = {
             "edges": [
                 {
@@ -245,14 +252,15 @@ def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any
             "equals_consensus": null.equals_consensus,
         }
 
-    signal = scenario.signal
     if args.span is not None:
         span = (float(args.span[0]), float(args.span[1]))
     else:
         span = (0.0, signal.period)  # one period, or the whole finite signal
-    averaged, avg_laplacian = integral_network(signal, span[0], span[1], tolerances)
-    null = null_space_basis(avg_laplacian, scenario.dims, tolerances)
-    has_tree, tree_edges = positive_spanning_tree(averaged)
+    integral = integral_report(
+        span, integral_network(signal, span[0], span[1], tolerances), tolerances
+    )
+    averaged, null = integral.network, integral.null_space
+    has_tree, tree_edges = integral.spanning_tree
     integral_doc = {
         "span": [span[0], span[1]],
         "edges": [
@@ -273,8 +281,9 @@ def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any
 
     verdicts: dict[str, Any] = {}
     if signal.periodic:
+        one_period = integral if integral.span == (0.0, signal.period) else None
         verdicts["periodic"] = _verdict_to_dict(
-            periodic_consensus_verdict(signal, tolerances)
+            periodic_consensus_verdict(signal, tolerances, one_period)
         )
     horizon = args.horizon if args.horizon is not None else scenario.run.horizon
     if horizon is None and not signal.periodic:

@@ -7,7 +7,8 @@ positive definite or positive semi-definite — zero or indefinite weights are
 rejected at construction time, so "no entry" is the only encoding of "no
 edge".  A graph is its dimensions and its edge map, and is immutable:
 :func:`set_edge` returns a new graph, copying the edge map, while a loader
-checks each weight with :func:`checked_weight` and builds the graph once.
+checks a graph's weights together with :func:`checked_weights` and builds
+the graph once.
 The integral network is such a graph too: its averaged weights are built
 directly and keep whatever non-zero class they are given.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -62,14 +63,33 @@ class WeightMatrix:
 class MatrixWeightedGraph:
     """An immutable matrix-weighted graph.
 
-    ``edges`` maps node pairs ``(i, j)`` with ``i < j`` to their weights.
+    ``edges`` maps node pairs ``(i, j)`` with ``i < j`` to their weights;
+    any other key raises :class:`ModelError`.
     """
 
     dims: GraphDimensions
     edges: Mapping[Edge, WeightMatrix] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+        edges = dict(self.edges)
+        for key in edges:
+            if not _is_node_pair(key, self.dims.n):
+                raise ModelError(
+                    f"edge key {key!r} is not a node pair (i, j) "
+                    f"with 0 <= i < j < {self.dims.n}"
+                )
+        object.__setattr__(self, "edges", MappingProxyType(edges))
+
+
+def _is_node_pair(key: object, n: int) -> bool:
+    """Whether ``key`` is a pair of integers ``(i, j)`` with ``0 <= i < j < n``."""
+    if not isinstance(key, tuple) or len(key) != 2:
+        return False
+    try:
+        i, j = map(operator.index, key)
+    except TypeError:
+        return False
+    return 0 <= i < j < n
 
 
 def new_graph(dims: GraphDimensions) -> MatrixWeightedGraph:
@@ -122,6 +142,34 @@ def checked_weight(
         )
     symmetric.setflags(write=False)
     return WeightMatrix(entries=symmetric, definiteness=definiteness)
+
+
+def checked_weights(
+    edges: Sequence[tuple[int, int, NDArray[np.float64]]],
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> list[WeightMatrix | None]:
+    """:func:`checked_weight` of each ``(i, j, weight)`` whose nodes are
+    integers in ``[0, n)`` and whose weights share one shape, from one stacked
+    symmetry check and one stacked classification.  An entry is None where
+    that call would raise, and every entry is None if some weight is not
+    symmetric: call :func:`checked_weight` on such an edge for its result or
+    its error."""
+    if not edges:
+        return []
+    stack = np.array([weight for _, _, weight in edges], dtype=float)
+    try:
+        require_symmetric(stack, tolerances.symmetry)
+    except ModelError:
+        return [None] * len(edges)
+    half = stack / 2.0
+    symmetric = half + np.swapaxes(half, 1, 2)
+    symmetric.setflags(write=False)
+    kinds = classify_definiteness(symmetric, tolerances)
+    rejected = (Definiteness.ZERO, Definiteness.INDEFINITE)
+    return [
+        None if i == j or kind in rejected else WeightMatrix(entries, kind)
+        for (i, j, _), entries, kind in zip(edges, symmetric, kinds)
+    ]
 
 
 def set_edge(

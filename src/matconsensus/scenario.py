@@ -40,7 +40,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ModelError
-from .graphs import GraphDimensions, MatrixWeightedGraph, WeightMatrix, checked_weight
+from .graphs import (
+    GraphDimensions,
+    MatrixWeightedGraph,
+    WeightMatrix,
+    checked_weight,
+    checked_weights,
+)
 from .switching import SwitchingSignal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -158,6 +164,54 @@ def _contextualize(error: ModelError, path: str) -> ModelError:
     return ModelError(f"{path}: {error}")
 
 
+def _parse_graph(
+    edges_raw: Any, gpath: str, dims: GraphDimensions, tolerances: Tolerances
+) -> MatrixWeightedGraph:
+    """One graph's edge list.  Each edge is checked in file order for its
+    indices, a duplicate, its weight's parse, then its weight's checks, so
+    the first bad edge is the one reported; the weight checks of the edges
+    before the first structural fault run together, in
+    :func:`checked_weights`."""
+    n = dims.n
+    edges_raw = _expect(edges_raw, list, gpath, "a list of edges")
+    parsed: list[tuple[str, int, int, NDArray[np.float64]]] = []
+    pairs: set[tuple[int, int]] = set()
+    fault: ScenarioError | None = None
+    try:
+        for idx, edge_raw in enumerate(edges_raw):
+            epath = f"{gpath}[{idx}]"
+            edge_raw = _expect(edge_raw, dict, epath, "an edge object")
+            _reject_unknown(edge_raw, {"i", "j", "weight"}, epath)
+            i = _expect(_get(edge_raw, "i", epath), int, f"{epath}.i", "an integer")
+            j = _expect(_get(edge_raw, "j", epath), int, f"{epath}.j", "an integer")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ScenarioError(
+                    epath, f"node indices must lie in 1..{n}, got ({i}, {j})"
+                )
+            pair = (min(i, j) - 1, max(i, j) - 1)
+            if pair in pairs:
+                raise ScenarioError(epath, f"duplicate edge ({i}, {j})")
+            pairs.add(pair)
+            weight = _parse_weight(
+                _get(edge_raw, "weight", epath), dims.d, f"{epath}.weight"
+            )
+            parsed.append((epath, i - 1, j - 1, weight))
+    except ScenarioError as error:
+        fault = error  # raised once the edges before it pass their weight checks
+    edges: dict[tuple[int, int], WeightMatrix] = {}
+    checked = checked_weights([edge[1:] for edge in parsed], tolerances)
+    for (epath, i, j, weight), result in zip(parsed, checked):
+        if result is None:
+            try:
+                result = checked_weight(dims, i, j, weight, tolerances)
+            except ModelError as error:
+                raise _contextualize(error, epath) from error
+        edges[min(i, j), max(i, j)] = result
+    if fault is not None:
+        raise fault
+    return MatrixWeightedGraph(dims, edges)
+
+
 def parse_scenario(data: dict) -> Scenario:
     """Build a :class:`Scenario` from decoded JSON data."""
     data = _expect(data, dict, "", "a JSON object")
@@ -182,30 +236,7 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError("graphs", "at least one graph is required")
     graphs: dict[str, MatrixWeightedGraph] = {}
     for name, edges_raw in graphs_raw.items():
-        gpath = f"graphs.{name}"
-        edges_raw = _expect(edges_raw, list, gpath, "a list of edges")
-        edges: dict[tuple[int, int], WeightMatrix] = {}
-        for idx, edge_raw in enumerate(edges_raw):
-            epath = f"{gpath}[{idx}]"
-            edge_raw = _expect(edge_raw, dict, epath, "an edge object")
-            _reject_unknown(edge_raw, {"i", "j", "weight"}, epath)
-            i = _expect(_get(edge_raw, "i", epath), int, f"{epath}.i", "an integer")
-            j = _expect(_get(edge_raw, "j", epath), int, f"{epath}.j", "an integer")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ScenarioError(
-                    epath, f"node indices must lie in 1..{n}, got ({i}, {j})"
-                )
-            pair = (min(i, j) - 1, max(i, j) - 1)
-            if pair in edges:
-                raise ScenarioError(epath, f"duplicate edge ({i}, {j})")
-            weight = _parse_weight(
-                _get(edge_raw, "weight", epath), d, f"{epath}.weight"
-            )
-            try:
-                edges[pair] = checked_weight(dims, i - 1, j - 1, weight, tolerances)
-            except ModelError as error:
-                raise _contextualize(error, epath) from error
-        graphs[name] = MatrixWeightedGraph(dims, edges)
+        graphs[name] = _parse_graph(edges_raw, f"graphs.{name}", dims, tolerances)
 
     signal_raw = _expect(_get(data, "signal", ""), dict, "signal", "an object")
     _reject_unknown(signal_raw, {"segments", "periodic", "alpha", "beta"}, "signal")

@@ -47,38 +47,41 @@ class NullSpaceReport:
     equals_consensus: bool
 
 
-def _scale(matrix: NDArray[np.float64]) -> float:
-    """Relative scale used for tolerance comparisons: ``max(1, max|M|)``."""
-    return max(1.0, float(np.max(np.abs(matrix), initial=0.0)))
-
-
 def require_symmetric(
     matrix: NDArray[np.float64], tol: float, *, what: str = "matrix"
 ) -> None:
     """Raise :class:`ModelError` unless ``matrix`` is square, finite and
-    symmetric within ``tol`` relative to its magnitude."""
+    symmetric within ``tol`` relative to its magnitude.
+
+    A stack of shape ``(k, d, d)`` is checked matrix by matrix, and the
+    first that fails is named ``what`` followed by its index."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
         raise ModelError(f"{what} must be square, got shape {matrix.shape}")
-    # the largest magnitude is NaN or inf exactly when some entry is, so
-    # M - M^T, which would warn on inf - inf, is formed only when finite
-    magnitude = float(np.max(np.abs(matrix), initial=0.0))
-    if not math.isfinite(magnitude):
-        raise ModelError(
-            f"{what} has non-finite entries: NaN, or beyond the float range"
-        )
-    defect = float(np.max(np.abs(matrix - matrix.T), initial=0.0))
-    if defect > tol * max(1.0, magnitude):
-        raise ModelError(
-            f"{what} is not symmetric: max|M - M^T| = {defect:.3e}"
-        )
+    stack = matrix[None] if matrix.ndim == 2 else matrix
+    magnitudes = np.max(np.abs(stack), axis=(1, 2), initial=0.0).tolist()
+    # the largest magnitude is NaN or inf exactly when some entry is; such a
+    # matrix fails on that, whatever M - M^T comes to, and M - M^T beyond
+    # the float range is an infinite defect
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.abs(stack - np.swapaxes(stack, 1, 2))
+    defects = np.max(asymmetry, axis=(1, 2), initial=0.0).tolist()
+    for index, (magnitude, defect) in enumerate(zip(magnitudes, defects)):
+        if math.isfinite(magnitude) and not defect > tol * max(1.0, magnitude):
+            continue
+        name = what if matrix.ndim == 2 else f"{what} {index}"
+        if not math.isfinite(magnitude):
+            raise ModelError(
+                f"{name} has non-finite entries: NaN, or beyond the float range"
+            )
+        raise ModelError(f"{name} is not symmetric: max|M - M^T| = {defect:.3e}")
 
 
 def symmetric_eigen(
     matrix: NDArray[np.float64], tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Eigenvalues (ascending) and matching orthonormal eigenvector columns
-    of a symmetric matrix.
+    of a symmetric matrix, or of each matrix of a ``(k, d, d)`` stack.
 
     The input is checked for symmetry and symmetrised as ``M/2 + M^T/2``,
     which does not overflow, before calling the symmetric solver, so the
@@ -88,29 +91,48 @@ def symmetric_eigen(
     matrix = np.asarray(matrix, dtype=float)
     require_symmetric(matrix, tolerances.symmetry)
     half = matrix / 2.0
-    return np.linalg.eigh(half + half.T)
+    return np.linalg.eigh(half + np.swapaxes(half, -1, -2))
 
 
 def classify_definiteness(
     matrix: NDArray[np.float64], tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> Definiteness:
+) -> Definiteness | tuple[Definiteness, ...]:
     """Classify a symmetric matrix as PD, PSD, zero, or indefinite.
 
     The eigenvalue cutoff is ``tolerances.definiteness`` scaled by
     ``max(1, |lambda|_max)`` so classification is stable for matrices of
-    moderate norm and does not flip on rounding noise.
+    moderate norm and does not flip on rounding noise.  A stack of shape
+    ``(k, d, d)`` gives a tuple of ``k`` classes, each the class of its
+    matrix alone, from one eigendecomposition call.
     """
+    matrix = np.asarray(matrix, dtype=float)
     eigenvalues, _ = symmetric_eigen(matrix, tolerances)
-    magnitude = float(np.max(np.abs(eigenvalues), initial=0.0))
-    if math.isinf(magnitude):
+    single = matrix.ndim == 2
+    stack = matrix[None] if single else matrix
+    values = eigenvalues[None] if single else eigenvalues
+    magnitudes = np.max(np.abs(values), axis=1, initial=0.0).tolist()
+    classes = [
+        _classify(magnitude, smallest, tolerances.definiteness)
+        for magnitude, smallest in zip(magnitudes, values[:, 0].tolist())
+    ]
+    overflowed = [index for index, size in enumerate(magnitudes) if math.isinf(size)]
+    if overflowed:
         # the spectrum overflowed; the class is invariant under positive
         # scaling, so classify the matrix scaled down to max|M| = 1
-        matrix = np.asarray(matrix, dtype=float)
-        return classify_definiteness(matrix / _scale(matrix), tolerances)
-    cutoff = tolerances.definiteness * max(1.0, magnitude)
+        huge = stack[overflowed]
+        scale = np.maximum(1.0, np.max(np.abs(huge), axis=(1, 2), initial=0.0))
+        rescaled = classify_definiteness(huge / scale[:, None, None], tolerances)
+        for index, kind in zip(overflowed, rescaled):
+            classes[index] = kind
+    return classes[0] if single else tuple(classes)
+
+
+def _classify(magnitude: float, smallest: float, tol: float) -> Definiteness:
+    """The class of a spectrum from its largest magnitude and its smallest
+    eigenvalue."""
+    cutoff = tol * max(1.0, magnitude)
     if magnitude <= cutoff:
         return Definiteness.ZERO
-    smallest = float(eigenvalues[0])
     if smallest > cutoff:
         return Definiteness.POSITIVE_DEFINITE
     if smallest >= -cutoff:
@@ -130,6 +152,7 @@ def null_space_basis(
     matrix: NDArray[np.float64],
     dims: "GraphDimensions",
     tolerances: Tolerances = DEFAULT_TOLERANCES,
+    eigensystem: tuple[NDArray[np.float64], NDArray[np.float64]] | None = None,
 ) -> NullSpaceReport:
     """Numerical null space of a PSD matrix of size ``n*d``.
 
@@ -137,7 +160,8 @@ def null_space_basis(
     count as zero; the verdict is therefore invariant under positive
     rescaling of the matrix.  Raises :class:`ModelError` on a size
     mismatch, if an eigenvalue is clearly negative, or if one is beyond the
-    float range.
+    float range.  ``eigensystem`` is the matrix's :func:`symmetric_eigen`
+    where the caller already has it, so the matrix is not decomposed again.
     """
     matrix = np.asarray(matrix, dtype=float)
     size = dims.n * dims.d
@@ -146,7 +170,9 @@ def null_space_basis(
             f"expected a {size}x{size} matrix for n={dims.n}, d={dims.d}, "
             f"got shape {matrix.shape}"
         )
-    eigenvalues, eigenvectors = symmetric_eigen(matrix, tolerances)
+    if eigensystem is None:
+        eigensystem = symmetric_eigen(matrix, tolerances)
+    eigenvalues, eigenvectors = eigensystem
     if not np.isfinite(eigenvalues).all():
         raise ModelError("matrix has an eigenvalue beyond the float range")
     lam_max = max(float(eigenvalues[-1]), 0.0)

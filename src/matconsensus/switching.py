@@ -279,7 +279,8 @@ def integral_network(
     bit-for-bit.  The positions are accumulated once each, in time order
     from the one active at ``t_start``, so the cost does not grow with the
     span: where no position recurs in the span this is the segment-by-segment
-    sum, and a recurring position's weight is rounded once.
+    sum, and a recurring position's weight is rounded once.  The averaged
+    blocks are classified together, in one stacked call.
     """
     start = Fraction(float(t_start))
     end = Fraction(float(t_end))
@@ -314,12 +315,14 @@ def integral_network(
                 blocks[pair] = weight * edge_weight.entries
         avg_lap = avg_lap + weight * signal.segment_laplacian(k)
 
+    pairs = sorted(blocks)
     edges: dict[Edge, WeightMatrix] = {}
-    for pair in sorted(blocks):
-        blocks[pair].setflags(write=False)
-        kind = classify_definiteness(blocks[pair], tolerances)
-        if kind is not Definiteness.ZERO:
-            edges[pair] = WeightMatrix(entries=blocks[pair], definiteness=kind)
+    if pairs:
+        stack = np.array([blocks[pair] for pair in pairs])
+        for pair, kind in zip(pairs, classify_definiteness(stack, tolerances)):
+            if kind is not Definiteness.ZERO:
+                blocks[pair].setflags(write=False)
+                edges[pair] = WeightMatrix(entries=blocks[pair], definiteness=kind)
 
     avg_lap.setflags(write=False)
     return MatrixWeightedGraph(dims=signal.dims, edges=edges), avg_lap

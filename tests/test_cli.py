@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import shutil
@@ -9,6 +10,8 @@ from matconsensus import (
     GraphDimensions,
     Trajectory,
     analysis,
+    integral_network,
+    laplacian,
     load_scenario,
     necessary_condition_scan,
     periodic_consensus_verdict,
@@ -298,6 +301,55 @@ def test_analyze_scans_the_windows_once(fixture_path, monkeypatch, capsys):
     necessary_condition_scan(signal, 8)
     periodic_consensus_verdict(signal)
     assert analyze_calls == len(calls) > 0
+
+
+def test_analyze_decomposes_each_matrix_once(fixture_path, monkeypatch, capsys):
+    """An ``analyze`` run decomposes each graph Laplacian and the integral
+    Laplacian once: the report's graph null spaces use the signal's cached
+    eigensystems, and the periodic verdict uses the report's integral
+    network.  A window's transition matrix is formed once per class of
+    windows with the same ``start mod m`` and length, and the windows of one
+    class carry the same ``mu_next`` bits."""
+    decomposed = collections.Counter()
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        decomposed[a.shape, a.tobytes()] += 1
+        return eigh(a)
+
+    transitions = []
+    transition_matrix = analysis.transition_matrix
+
+    def counting_transition(signal, start, stop):
+        transitions.append((start, stop))
+        return transition_matrix(signal, start, stop)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(analysis, "transition_matrix", counting_transition)
+    assert main(["analyze", str(fixture_path), "--format", "json"]) == 0  # horizon 8
+    report = json.loads(capsys.readouterr().out)
+    monkeypatch.undo()
+
+    scenario = load_scenario(fixture_path)
+    signal = scenario.signal
+    _, integral = integral_network(signal, 0.0, signal.period)
+    for matrix in [laplacian(g) for g in scenario.graphs.values()] + [integral]:
+        half = matrix / 2.0
+        assert decomposed[matrix.shape, (half + half.T).tobytes()] == 1
+
+    m = signal.partitions
+    windows = next(
+        cert["windows"]
+        for cert in report["verdicts"]["sufficient_certificate"]["certificates"]
+        if "windows" in cert
+    )
+    classes = {}
+    for window in windows:
+        key = (window["start"] % m, window["stop"] - window["start"])
+        classes.setdefault(key, set()).add(window["mu_next"])
+    assert len(windows) > len(classes) == len(transitions)
+    assert {(start % m, stop - start) for start, stop in transitions} == set(classes)
+    assert all(len(mu) == 1 for mu in classes.values())
 
 
 def _set(*keys, value):

@@ -183,6 +183,26 @@ def test_set_edge_symmetrises_huge_weights_without_overflow(dims4x2):
         assert np.array_equal(weight.entries, huge)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [(0, -1), (0, 5), (1, 0), (1, 1), (0, 2.0), (0,), "01"],
+    ids=["negative", "beyond-n", "reversed", "self-loop", "float", "single", "str"],
+)
+def test_graph_keys_must_be_ordered_node_pairs(key):
+    """An edge key is a pair of integers ``(i, j)`` with ``0 <= i < j < n``:
+    ``(0, -1)`` would couple nodes 0 and 2 through negative indexing,
+    ``(0, 5)`` would fail inside ``laplacian``, and ``(1, 0)`` beside
+    ``(0, 1)`` would double the pair's degree."""
+    dims = GraphDimensions(n=3, d=1)
+    weight = WeightMatrix(np.ones((1, 1)), Definiteness.POSITIVE_DEFINITE)
+    edges = {(0, 1): weight, key: weight}
+    with pytest.raises(ModelError, match=r"^edge key .* is not a node pair \(i, j\) "
+                       r"with 0 <= i < j < 3$"):
+        MatrixWeightedGraph(dims, edges)
+    graph = MatrixWeightedGraph(dims, {(np.int64(1), 2): weight})
+    assert np.array_equal(laplacian(graph)[1:, 1:], [[1.0, -1.0], [-1.0, 1.0]])
+
+
 @pytest.mark.parametrize("n", [10**8, 10**10])
 def test_laplacian_beyond_memory_is_a_model_error(scenario_path, tmp_path, capsys, n):
     """The demo's shape with ``d = 1`` and ``n`` nodes: at ``10**8`` the

@@ -218,3 +218,98 @@ def test_load_scenario_bad_json(tmp_path):
     path.write_text('{"dimensions": {"n": 4,}')
     with pytest.raises(ScenarioError, match="line 1"):
         load_scenario(path)
+
+
+def _edge(i, j, weight):
+    return {"i": i, "j": j, "weight": weight}
+
+
+_OK = [1, 0, 0, 1]
+_ZERO = [0, 0, 0, 0]
+_INDEFINITE = [1, 3, 3, 1]  # eigenvalues 4 and -2
+_ASYMMETRIC = [1, 2, 0, 1]
+_HUGE = [1e308, 1e308, 1e308, 1e308]  # eigenvalue 2e308, classified rescaled
+_ZERO_AT_1 = (
+    "error: graphs.G1[1]: weight for edge (1, 2) is zero within tolerance; "
+    "omit the edge instead\n"
+)
+
+
+@pytest.mark.parametrize(
+    "graphs, code, stderr",
+    [
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, _ZERO), _edge(3, 9, _OK)]},
+            2, _ZERO_AT_1, id="weight-then-index",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(3, 9, _OK), _edge(2, 3, _INDEFINITE)]},
+            1, "error: graphs.G1[1]: node indices must lie in 1..4, got (3, 9)\n",
+            id="index-then-weight",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, _INDEFINITE), _edge(2, 1, _OK)]},
+            2, "error: graphs.G1[1]: weight for edge (1, 2) is indefinite\n",
+            id="duplicate-after-bad-weight",
+        ),
+        pytest.param(
+            {"G2": [_edge(2, 4, _OK), _edge(3, 4, _ZERO)]},
+            2,
+            "error: graphs.G2[1]: weight for edge (2, 3) is zero within tolerance; "
+            "omit the edge instead\n",
+            id="second-graph",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, [1, 0, 0, 1e999])]},
+            1, "error: graphs.G1[1].weight[3]: expected a finite number, got inf\n",
+            id="non-finite",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, _ASYMMETRIC)]},
+            2,
+            "error: graphs.G1[1]: weight for edge (1, 2) is not symmetric: "
+            "max|M - M^T| = 2.000e+00\n",
+            id="asymmetric",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, _ZERO)]}, 2, _ZERO_AT_1, id="zero"
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, _INDEFINITE)]},
+            2, "error: graphs.G1[1]: weight for edge (1, 2) is indefinite\n",
+            id="indefinite",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, _ZERO), _edge(3, 4, _ASYMMETRIC)]},
+            2, _ZERO_AT_1, id="zero-then-asymmetric",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(3, 3, _OK)]},
+            2, "error: graphs.G1[1]: self-loop at node 2 is not allowed\n",
+            id="self-loop",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _HUGE), _edge(2, 3, _ZERO)]},
+            2, _ZERO_AT_1, id="overflowing-spectrum-then-zero",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, _HUGE)]},
+            0, "", id="overflowing-spectrum",
+        ),
+    ],
+)
+def test_first_bad_edge_in_file_order_is_reported(
+    scenario_path, tmp_path, capsys, graphs, code, stderr
+):
+    """A graph's weights are checked together, yet the first bad edge in
+    file order is reported, with the exit code and message it had when each
+    edge was checked alone: indices, duplicate, weight parse, then weight
+    checks, edge by edge."""
+    from matconsensus.cli import main
+
+    data = json.loads(scenario_path.read_text())
+    data["graphs"].update(graphs)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == code
+    assert capsys.readouterr().err == stderr

@@ -16,7 +16,7 @@ from matconsensus import (
     set_edge,
     symmetric_eigen,
 )
-from matconsensus.spectral import eigen_exponential
+from matconsensus.spectral import eigen_exponential, require_symmetric
 from conftest import LAP_A, LAP_B, LAP_C
 
 
@@ -72,6 +72,69 @@ def test_classify_definiteness_cases():
     assert classify_definiteness(np.zeros((2, 2))) is Definiteness.ZERO
     assert classify_definiteness([[1, 3], [3, 1]]) is Definiteness.INDEFINITE
     assert classify_definiteness([[5.0]]) is Definiteness.POSITIVE_DEFINITE
+
+
+def _stack_of_every_class(rng):
+    """Seeded 3x3 weights of every class, near-cutoff ones included, then
+    two whose spectrum overflows (one PSD, one indefinite) and signed
+    zeros."""
+    def rotated(*values):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        return (q * values) @ q.T
+
+    matrices = []
+    for _ in range(8):
+        factor = rng.integers(-2, 3, size=(3, 3)).astype(float)
+        vector = rng.standard_normal(3)
+        matrices += [
+            factor @ factor.T + np.eye(3),  # PD
+            np.outer(vector, vector),  # PSD
+            rotated(2.0, 1.0, -0.5),  # indefinite
+            rotated(1.0, 1.0, rng.uniform(-2e-9, 2e-9)),  # about the cutoff 1e-9
+            rotated(*rng.uniform(-2e-9, 2e-9, size=3)),  # zero or not, near it
+        ]
+    matrices += [
+        np.full((3, 3), 1e308),  # eigenvalue 3e308: PSD, classified rescaled
+        np.array([[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, -1e308]]),  # indefinite
+        np.zeros((3, 3)),
+        np.full((3, 3), -0.0),
+        np.diag([1.0, -0.0, 1.0]),
+    ]
+    return np.array([m / 2 + m.T / 2 for m in matrices])
+
+
+def test_stacked_classification_is_each_matrix_alone(rng, monkeypatch):
+    """One stacked call gives every matrix the class a one-matrix call
+    gives it, with one eigendecomposition call plus one for the matrices
+    whose spectrum overflows."""
+    stack = _stack_of_every_class(rng)
+    single = [classify_definiteness(matrix) for matrix in stack]
+    assert set(single) == set(Definiteness)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    with np.errstate(all="raise"):
+        stacked = classify_definiteness(stack)
+    assert stacked == tuple(single)
+    assert calls == [stack.shape, (2, 3, 3)]
+    calls.clear()
+    assert classify_definiteness(stack[:5]) == tuple(single[:5])
+    assert calls == [(5, 3, 3)]
+    assert classify_definiteness(stack[:0]) == ()
+
+
+def test_stacked_symmetry_check_names_the_first_failure():
+    stack = np.array([np.eye(2), [[0.0, 1e308], [-1e308, 0.0]], [[np.nan, 0], [0, 1]]])
+    with np.errstate(all="raise"):  # M - M^T overflows: an infinite defect
+        with pytest.raises(
+            ModelError, match=r"^weight 1 is not symmetric: max\|M - M\^T\| = inf$"
+        ):
+            require_symmetric(stack, 1e-12, what="weight")
+        with pytest.raises(ModelError, match=r"^weight has non-finite entries"):
+            require_symmetric(stack[2], 1e-12, what="weight")
+        with pytest.raises(ModelError, match=r"^matrix is not symmetric: .* = inf$"):
+            require_symmetric(stack[1], 1e-12)
+    require_symmetric(stack[:1], 1e-12)
 
 
 def test_consensus_subspace_orthonormal():
