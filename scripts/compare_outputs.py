@@ -10,9 +10,15 @@ and that tree on ``PYTHONPATH``.  The exit code and the sha256 of stdout,
 stderr and the CSV written by ``--out`` must match.  The list covers:
 
 * the demo scenario: ``validate``, ``analyze`` as text and as JSON, with
-  ``--span 0 2`` and with ``--horizon 9``, and ``simulate --oracle``;
+  ``--span 0 2`` and with ``--horizon 9``, and ``simulate --oracle``, also
+  with an unstable step (exit 2) and with a step whose reference nodes do
+  not fit in memory (exit 2);
 * the seed-0 benchmark scenarios ``periodic-mid``, ``finite-long`` and
-  ``periodic-large``: ``validate``, ``analyze`` and ``simulate``;
+  ``periodic-large``: ``validate``, ``analyze``, ``simulate``, and
+  ``simulate --oracle`` up to the benchmark's oracle ``--t-end``;
+* the demo as a finite signal through ``simulate --oracle`` up to its end
+  and to mid-segment, and a finite 3,000-segment variant of dwell 0.002
+  (two oracle steps a segment);
 * demo variants with faulty edges, each through ``validate`` and
   ``analyze``: the first bad edge must be reported the same way.
 
@@ -73,25 +79,54 @@ def write_scenarios(directory: Path) -> list[tuple[str, list[str]]]:
     """Write every scenario the invocations read; returns ``(label, argv)``
     pairs, with ``{csv}`` standing for the CSV path of ``--out``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from generate import write_scenario
+    from generate import WORKLOADS, write_scenario
 
     demo = str(DEMO)
+    simulate = ["simulate", demo, "--out", "{csv}"]
     invocations = [
         ("demo validate", ["validate", demo]),
         ("demo analyze text", ["analyze", demo]),
         ("demo analyze json", ["analyze", demo, "--format", "json"]),
         ("demo analyze --span 0 2", ["analyze", demo, "--span", "0", "2"]),
         ("demo analyze --horizon 9", ["analyze", demo, "--horizon", "9"]),
-        ("demo simulate --oracle", ["simulate", demo, "--oracle", "--out", "{csv}"]),
+        ("demo simulate --oracle", [*simulate, "--oracle"]),
+        ("demo simulate --oracle 0.5 (unstable)", [*simulate, "--oracle", "0.5"]),
+        (
+            "demo simulate --oracle 1e-15 (refused)",
+            [*simulate, "--oracle", "1e-15", "--t-end", "6"],
+        ),
     ]
     for name in BENCHMARK_SCENARIOS:
         path = str(write_scenario(name, 0, directory))
+        t_oracle = repr(WORKLOADS[name]["t_oracle"])
         invocations += [
             (f"{name} validate", ["validate", path]),
             (f"{name} analyze", ["analyze", path, "--format", "json"]),
             (f"{name} simulate", ["simulate", path, "--out", "{csv}"]),
+            (
+                f"{name} simulate --oracle",
+                ["simulate", path, "--out", "{csv}", "--oracle", "1e-3"]
+                + ["--t-end", t_oracle],
+            ),
         ]
     base = json.loads(DEMO.read_text())
+    finite = copy.deepcopy(base)
+    finite["signal"]["periodic"] = False
+    short = copy.deepcopy(finite)
+    short["signal"].update(
+        alpha=0.002,
+        segments=[{"graph": f"G{k % 3 + 1}", "dwell": 0.002} for k in range(3000)],
+    )
+    for name, doc, ends in (("finite", finite, ("6", "4.3")), ("short", short, ("6",))):
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        invocations += [
+            (
+                f"{name} demo simulate --oracle --t-end {t_end}",
+                ["simulate", str(path), "--out", "{csv}", "--oracle", "--t-end", t_end],
+            )
+            for t_end in ends
+        ]
     for name, graphs in FAULTS.items():
         doc = copy.deepcopy(base)
         doc["graphs"].update(graphs)

@@ -230,16 +230,19 @@ def _verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
 def _build_report(scenario: Scenario, args: argparse.Namespace) -> dict[str, Any]:
     tolerances = scenario.tolerances
     signal = scenario.signal
-    # a segment of each graph the signal uses, whose eigensystem it caches
+    # a segment of each graph the signal uses, whose Laplacian and
+    # eigensystem it caches
     segment_of = {g: k for k, (g, _) in enumerate(signal.segments)}
     graphs_doc: dict[str, Any] = {}
     for g, name in enumerate(scenario.graph_names):  # graph g of the signal
         graph = scenario.graphs[name]
         k = segment_of.get(g)
-        eigensystem = None if k is None else signal.segment_eigensystem(k)
-        null = null_space_basis(
-            laplacian(graph), scenario.dims, tolerances, eigensystem
-        )
+        if k is None:
+            matrix, eigensystem = laplacian(graph), None
+        else:
+            matrix = signal.segment_laplacian(k)
+            eigensystem = signal.segment_eigensystem(k)
+        null = null_space_basis(matrix, scenario.dims, tolerances, eigensystem)
         graphs_doc[name] = {
             "edges": [
                 {

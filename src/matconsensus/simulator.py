@@ -9,9 +9,11 @@ samples and for the oracle's comparison alike.  ``simulate`` refuses a sample
 grid whose states cannot be held before it builds the grid, and computes a
 trajectory's disagreement ``V`` once, in row blocks, for its invariant checks
 and the CSV writer alike.  A classical fixed-step Runge-Kutta integrator that
-never steps across a switch instant is provided as an independent reference;
-the oracle compares it with the exact walker block by block, holding one copy
-of the reference nodes.
+never steps across a switch instant is provided as an independent reference.
+The oracle counts the reference nodes of the whole run before any step, then
+compares the reference with the exact walker a chunk of whole segments at a
+time, each walker starting a chunk from its own state at the chunk's first
+switch instant, so it holds one chunk's nodes, never the whole run's.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +36,8 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # Rows of states reduced or compared at a time: the disagreement ``V`` of a
 # trajectory and the oracle's exact states are worked through in blocks of
-# this many rows, so neither holds a second states-sized array.
+# this many rows, so neither holds a second states-sized array.  An oracle
+# chunk spans at least this many RK4 steps.
 _BLOCK_ROWS = 256
 
 
@@ -122,18 +126,22 @@ def _exact_states(
     x0: NDArray[np.float64],
     times: NDArray[np.float64],
     rows: int,
+    first: int = 0,
 ) -> Iterator[NDArray[np.float64]]:
     """Exact states at the given ascending times, yielded in consecutive
     blocks of ``rows`` states (the last block may be shorter).
 
     This is the one exact walker: ``simulate`` takes its whole trajectory as
     a single block, the oracle compares block by block.  It walks the
-    segments lazily; the running state is advanced across each switch with
-    the cached full-segment exponential.  Within a segment the eigensystem
-    is fetched, and the running state projected onto it, once; each sample
-    is then ``vectors @ (exp(-values * delta) * coefficients)``, written
-    into its row of the block.  Samples past the end of a finite signal
-    take its final state.
+    segments lazily from segment ``first``, whose switch instant ``t_first``
+    is the time of ``x0`` and lies at or before ``times[0]``; the running
+    state is advanced across each switch with the cached full-segment
+    exponential.  Within a segment the eigensystem is fetched, and the
+    running state projected onto it, once; each sample is then
+    ``vectors @ (exp(-values * delta) * coefficients)``, written into its row
+    of the block.  A sample at a switch instant is the running state there,
+    so a walk from ``first`` continues the bits of a walk from 0.  Samples
+    past the end of a finite signal take its final state.
 
     One block buffer is reused: a block is the caller's (it may overwrite
     it) only until the next one is requested.
@@ -141,7 +149,7 @@ def _exact_states(
     block = np.empty((min(rows, len(times)), x0.shape[0]))
     current = x0.copy()
     i = filled = 0
-    for k, t_k, t_next in signal.segments_between(0, times[-1]):
+    for k, t_k, t_next in signal.segments_from(first, times[-1]):
         seg_start = float(t_k)
         # an end beyond the float range lies past every time
         seg_end = float(t_next) if t_next <= sys.float_info.max else math.inf
@@ -178,12 +186,13 @@ def _exact_states(
 
 
 def _allocate_nodes(
-    signal: SwitchingSignal, t_end: float, step: float, refusal: str
+    signal: SwitchingSignal, t_end: float, step: float, refusal: str, first: int = 0
 ) -> NDArray[np.float64]:
     """An uninitialised ``(rows, n*d)`` array, bounded before any segment is
-    walked, for a ``step`` grid up to ``t_end`` that also lands on each switch
-    instant and on ``t_end``: ``floor(t_end / step) + 1`` ticks, one row per
-    segment that starts before ``t_end``, and ``t_end``.  An array that
+    walked, for a ``step`` grid from switch instant ``t_first`` up to
+    ``t_end`` that also lands on each switch instant and on ``t_end``:
+    ``floor((t_end - t_first) / step) + 1`` ticks, one row per segment from
+    ``first`` that starts before ``t_end``, and ``t_end``.  An array that
     cannot be allocated raises :class:`ModelError` with
     ``refusal.format(rows=rows)``."""
     if signal.periodic or t_end < signal.period_exact:
@@ -191,7 +200,8 @@ def _allocate_nodes(
         segments = k + (signal.switch_time_exact(k) < t_end)
     else:
         segments = signal.partitions
-    rows = math.floor(t_end / step) + 1 + segments + 1
+    span = t_end - signal.switch_time(first)
+    rows = math.floor(span / step) + 1 + segments - first + 1
     try:
         return np.empty((rows, signal.dims.stacked))
     except (MemoryError, ValueError) as error:  # ValueError: beyond any shape
@@ -316,10 +326,39 @@ def _check_stable_step(signal: SwitchingSignal, k: int, step: float) -> None:
         )
 
 
+def _reference_nodes(
+    signal: SwitchingSignal,
+    x0: NDArray[np.float64],
+    t_end: float,
+    step: float,
+    first: int = 0,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The checks ``rk4_reference`` makes before any step: the validated,
+    stacked ``x0`` and an uninitialised array bounding the nodes from
+    segment ``first`` up to ``t_end``."""
+    _check_horizon_time(signal, t_end)
+    _check_step(t_end, step, "step")
+    state = _stacked_state(x0, signal.dims)
+    signal.segment_graph_index(first)  # ModelError outside the signal
+    if not signal.switch_time_exact(first) < t_end:
+        raise ModelError(f"segment {first} does not start before t_end {t_end}")
+    nodes = _allocate_nodes(
+        signal, t_end, step, f"RK4 step {step!r} up to t_end {t_end} has up to "
+        "{rows} nodes, more reference states than fit in memory", first
+    )
+    return state, nodes
+
+
 def rk4_reference(
-    signal: SwitchingSignal, x0: NDArray[np.float64], t_end: float, step: float
+    signal: SwitchingSignal,
+    x0: NDArray[np.float64],
+    t_end: float,
+    step: float,
+    *,
+    first: int = 0,
 ) -> Trajectory:
-    """Integrate the switched dynamics with classical fixed-step Runge-Kutta.
+    """Integrate the switched dynamics with classical fixed-step Runge-Kutta
+    from ``x0`` at switch instant ``t_first`` (0 by default) up to ``t_end``.
 
     The integrator never steps across a switch instant: each segment takes
     ``floor(span / step)`` full steps of ``step``, then one landing step that
@@ -328,25 +367,23 @@ def rk4_reference(
     within rounding of empty takes no step.  Every node is recorded, so the
     result doubles as a dense reference trajectory: the nodes are bounded
     before any segment is walked, written into one array of that many rows,
-    and the filled rows are returned.
+    and the filled rows are returned.  A run from ``first`` started with the
+    state a run from 0 has at ``t_first`` gives that run's later nodes bit
+    for bit.
 
     A node bound whose states cannot be allocated raises :class:`ModelError`
-    before any step; so does, before its first step, a segment on which the
-    largest step taken times its Laplacian's largest eigenvalue exceeds
-    ``RK4_STABILITY_LIMIT``: the reference would diverge on its own there.
+    before any step, and so does a segment ``first`` outside the signal or
+    not starting before ``t_end``; so does, before its first step, a segment
+    on which the largest step taken times its Laplacian's largest eigenvalue
+    exceeds ``RK4_STABILITY_LIMIT``: the reference would diverge on its own
+    there.
     """
-    _check_horizon_time(signal, t_end)
-    _check_step(t_end, step, "step")
-    state = _stacked_state(x0, signal.dims)
-    states = _allocate_nodes(
-        signal, t_end, step, f"RK4 step {step!r} up to t_end {t_end} has up to "
-        "{rows} nodes, more reference states than fit in memory"
-    )
+    state, states = _reference_nodes(signal, x0, t_end, step, first)
     times = np.empty(len(states))
-    times[0] = 0.0
+    times[0] = signal.switch_time(first)
     states[0] = state
     j = 0
-    for k, t_k, t_next in signal.segments_between(0, t_end):
+    for k, t_k, t_next in signal.segments_from(first, t_end):
         seg_start, seg_end = float(t_k), float(min(t_next, t_end))
         span = seg_end - seg_start
         lap = signal.segment_laplacian(k)
@@ -377,19 +414,42 @@ def max_oracle_deviation(
     """Largest entrywise gap between exact propagation and the Runge-Kutta
     reference, taken over all reference nodes in ``[0, t_end]``.
 
-    The exact states come from the one exact walker in blocks of
-    ``_BLOCK_ROWS`` rows, each compared with the reference and
-    dropped, so the reference trajectory is the only array whose size grows
-    with the number of nodes.  A NaN gap anywhere makes the result NaN.
+    The whole run's nodes are counted, and refused as ``rk4_reference``
+    refuses them, before any step.  The run is then walked a chunk of
+    ``max(1, ceil(_BLOCK_ROWS * step / alpha))`` whole segments at a time:
+    every dwell is at least ``alpha``, so a chunk but the last spans at least
+    ``_BLOCK_ROWS`` steps.  Each chunk is one ``rk4_reference`` call from
+    the chunk's first segment, compared with the exact walker from the same
+    segment in blocks of ``_BLOCK_ROWS`` rows; both walkers start from their
+    own end state of the chunk before, which gives the nodes and the states
+    of one whole-run walk bit for bit.  Only one chunk's nodes are held.  A
+    NaN gap anywhere makes the result NaN.
     """
-    reference = rk4_reference(signal, x0, t_end, step)
-    x0 = reference.states[0]  # the validated, stacked initial state
+    # the count comes first; the whole run's array is dropped unused
+    x0 = _reference_nodes(signal, x0, t_end, step)[0]
+    per_chunk = max(
+        1, math.ceil(Fraction(step) * _BLOCK_ROWS / Fraction(signal.alpha))
+    )
     worst = np.float64(0.0)
-    start = 0
-    for block in _exact_states(signal, x0, reference.times, _BLOCK_ROWS):
-        stop = start + len(block)
-        np.subtract(reference.states[start:stop], block, out=block)
-        np.abs(block, out=block)
-        worst = np.maximum(worst, np.max(block))  # NaN stays NaN
-        start = stop
-    return float(worst)
+    first, reference_state, exact_state = 0, x0, x0
+    while True:
+        stop_segment = first + per_chunk
+        last = (
+            not signal.periodic and stop_segment >= signal.partitions
+        ) or signal.switch_time_exact(stop_segment) >= t_end
+        chunk_end = t_end if last else float(signal.switch_time_exact(stop_segment))
+        reference = rk4_reference(signal, reference_state, chunk_end, step, first=first)
+        start = 0
+        for block in _exact_states(
+            signal, exact_state, reference.times, _BLOCK_ROWS, first
+        ):
+            stop = start + len(block)
+            exact_state = block[-1].copy()
+            np.subtract(reference.states[start:stop], block, out=block)
+            np.abs(block, out=block)
+            worst = np.maximum(worst, np.max(block))  # NaN stays NaN
+            start = stop
+        if last:
+            return float(worst)
+        first, reference_state = stop_segment, reference.states[-1].copy()
+        del reference  # this chunk's nodes go before the next chunk's come

@@ -202,8 +202,17 @@ class SwitchingSignal:
         segment that overlaps ``[start, end)``, in time order.  A finite
         signal stops after its last segment."""
         k = self.segment_index_at(start)
+        if start < end:
+            yield from self.segments_from(k, end)
+
+    def segments_from(
+        self, k: int, end: float | Fraction
+    ) -> Iterator[tuple[int, Fraction, Fraction]]:
+        """Yield ``(k, t_k, t_k+1)`` with exact switch instants for segment
+        ``k`` and each later segment, as long as it starts before ``end``.  A
+        finite signal stops after its last segment."""
         t_k = self.switch_time_exact(k)
-        while max(start, t_k) < end and (self.periodic or k < len(self.segments)):
+        while t_k < end and (self.periodic or k < len(self.segments)):
             t_next = self.switch_time_exact(k + 1)
             yield k, t_k, t_next
             k, t_k = k + 1, t_next

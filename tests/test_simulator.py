@@ -19,6 +19,7 @@ from matconsensus import (
     SwitchingSignal,
     average_consensus_point,
     laplacian,
+    load_scenario,
     max_oracle_deviation,
     new_graph,
     rk4_reference,
@@ -219,6 +220,24 @@ def test_rk4_reference_refuses_an_enormous_horizon_at_once(scenario_path):
     )
     assert result.returncode == 0, result.stderr
     assert "more reference states than fit in memory" in result.stdout
+
+
+def test_rk4_reference_from_a_segment_outside_the_run_is_refused(
+    demo_graphs, demo_signal
+):
+    """``first`` must name a segment of the signal that starts before
+    ``t_end``; anything else is a ``ModelError`` before any step."""
+    finite = SwitchingSignal(demo_graphs, DEMO_SEGMENTS, 0.5, 4.0)
+    for signal, first, t_end, message in (
+        (demo_signal, -1, 6.0, "segment index -1 outside"),
+        (finite, 3, 6.0, "segment index 3 outside"),
+        (demo_signal, 3, 6.0, "segment 3 does not start before t_end 6.0"),
+        (demo_signal, 5, 6.0, "segment 5 does not start before t_end 6.0"),
+    ):
+        with pytest.raises(ModelError, match=message):
+            rk4_reference(signal, X0, t_end, 1e-3, first=first)
+    tail = rk4_reference(demo_signal, X0, 6.0, 1e-3, first=2)
+    assert tail.times[0] == 5.0 and tail.times[-1] == 6.0
 
 
 def test_max_oracle_deviation_demo(demo_signal, demo_initial_state):
@@ -535,13 +554,44 @@ def _oracle_cases(rng, count):
         yield signal, x0, [(t, steps[i % len(steps)]) for i, t in enumerate(ends)]
 
 
-def test_streamed_oracle_matches_the_reference_bit_for_bit():
-    """The preallocated RK4 reference and the block-wise exact walker give
-    the same times, the same state bits and the same deviation as the
+def _tail_matches(signal, x0, t_end, step, whole, rng):
+    """``rk4_reference(..., first=k)`` from the whole run's state at a
+    switch instant ``t_k`` before ``t_end`` gives the whole run's later
+    times and states bit for bit; returns whether a ``k`` was tried."""
+    starts = [k for k, t_k, _ in signal.segments_between(0, t_end) if k > 0]
+    if not starts:
+        return False
+    k = int(rng.choice(starts))
+    (i,) = np.flatnonzero(whole.times == signal.switch_time(k))
+    tail = rk4_reference(signal, whole.states[i], t_end, step, first=k)
+    assert tail.times.tolist() == whole.times[i:].tolist()
+    assert np.array_equal(tail.states, whole.states[i:])
+    return True
+
+
+def _assert_chunked_oracle_matches(monkeypatch, signal, x0, t_end, step):
+    """The oracle's deviation equals the whole-run reference's, with its own
+    chunks and with ``_BLOCK_ROWS = 1``: chunks of ``ceil(step / alpha)``
+    segments, one for most steps, compared a row at a time."""
+    expected = _reference_deviation(signal, x0, t_end, step)
+    assert max_oracle_deviation(signal, x0, t_end, step) == expected
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "_BLOCK_ROWS", 1)
+        assert max_oracle_deviation(signal, x0, t_end, step) == expected
+
+
+def test_streamed_oracle_matches_the_reference_bit_for_bit(monkeypatch):
+    """The preallocated RK4 reference and the chunked, block-wise oracle
+    give the same times, the same state bits and the same deviation as the
     list-building reference and the per-sample exact walk, or raise the
-    same error, on random finite and periodic signals."""
+    same error, on random finite and periodic signals, with the oracle's
+    chunks and with chunks of mostly one segment.  A reference started at a switch
+    instant from the whole run's state there is the whole run's tail.
+    Signals whose every segment is shorter than ``_BLOCK_ROWS`` steps, and
+    finite signals whose ``t_end`` lies past their end by rounding, are
+    walked in several chunks of the oracle's own size."""
     rng = np.random.default_rng(SEED + 9)
-    runs = unstable = 0
+    runs = unstable = tails = 0
     for signal, x0, cases in _oracle_cases(rng, 200):
         for t_end, step in cases:
             expected = _outcome(lambda: _reference_rk4(signal, x0, t_end, step))
@@ -555,11 +605,28 @@ def test_streamed_oracle_matches_the_reference_bit_for_bit():
                 continue
             assert actual.times.tolist() == expected.times.tolist()
             assert np.array_equal(actual.states, expected.states)
-            assert max_oracle_deviation(signal, x0, t_end, step) == (
-                _reference_deviation(signal, x0, t_end, step)
-            )
+            _assert_chunked_oracle_matches(monkeypatch, signal, x0, t_end, step)
+            tails += _tail_matches(signal, x0, t_end, step, actual, rng)
             runs += 1
-    assert runs >= 450 and unstable >= 20, (runs, unstable)
+    assert runs >= 450 and unstable >= 20 and tails >= 300, (runs, unstable, tails)
+
+    dims = GraphDimensions(n=3, d=2)
+    past_end = 0
+    for index in range(12):
+        graphs = [random_graph(rng, dims) for _ in range(2)]
+        periodic = index % 3 == 0
+        # 20 to 200 steps of 1e-3 a segment: a chunk is 13 segments
+        dwells = rng.uniform(0.02, 0.2, size=int(rng.integers(14, 40))).tolist()
+        segments = [(int(rng.integers(0, 2)), w) for w in dwells]
+        signal = SwitchingSignal(graphs, segments, 0.02, 0.2, periodic=periodic)
+        t_end = 1.7 * signal.period if periodic else math.fsum(dwells)
+        past_end += not periodic and t_end > signal.period_exact
+        walked = len(list(signal.segments_between(0, t_end)))
+        assert walked > math.ceil(simulator._BLOCK_ROWS * 1e-3 / 0.02), walked
+        x0 = rng.normal(size=dims.stacked)
+        _assert_chunked_oracle_matches(monkeypatch, signal, x0, t_end, 1e-3)
+    # whether the float sum rounds past the exact end depends on the draw
+    assert past_end >= 1, past_end
 
 
 def _near_duplicate_times(rng, signal, t_end):
@@ -648,6 +715,72 @@ def test_oracle_holds_one_reference_sized_array(demo_graphs):
         tracemalloc.stop()
     assert deviation <= 1e-6
     assert peak <= 1.5 * states_bytes + 64 * 1024, (peak, states_bytes)
+
+
+def test_oracle_peak_does_not_grow_with_the_reference(tmp_path):
+    """``simulate --oracle`` holds one chunk of reference nodes, not the
+    whole run's: when ``--t-end`` quadruples on a seeded scenario with
+    ``n*d = 100``, the process's peak RSS (``VmHWM``) grows by less than a
+    quarter of the reference states' growth, ``delta_nodes * n*d * 8``
+    bytes (a whole-run reference grows it by all of that).  The sample grid
+    is kept to a few dozen samples, so only the oracle could grow."""
+    rng = np.random.default_rng(SEED + 13)
+    n, d = 50, 2
+    weights = ([2, 1, 1, 2], [1, 0, 0, 1], [1, 1, 1, 1])
+    graphs = {}
+    for g in range(3):
+        pairs = {(i, i + 1) for i in range(n - 1)}
+        pairs |= {tuple(sorted(p)) for p in rng.integers(0, n, (n, 2)) if p[0] != p[1]}
+        graphs[f"G{g + 1}"] = [
+            {"i": int(i) + 1, "j": int(j) + 1, "weight": weights[int(rng.integers(3))]}
+            for i, j in sorted(pairs)
+        ]
+    doc = {
+        "dimensions": {"n": n, "d": d},
+        "graphs": graphs,
+        "signal": {
+            "segments": [
+                {"graph": "G1", "dwell": 1.0},
+                {"graph": "G2", "dwell": 1.5},
+                {"graph": "G3", "dwell": 0.5},
+            ],
+            "periodic": True,
+            "alpha": 0.5,
+            "beta": 1.5,
+        },
+        "initial_state": rng.random((n, d)).round(4).tolist(),
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from matconsensus import cli\n"
+        "argv = ['simulate', sys.argv[1], '--t-end', sys.argv[2], '--sample-dt',\n"
+        "        '1', '--oracle', '--out', sys.argv[3]]\n"
+        "assert cli.main(argv) == 0\n"
+        "for line in open('/proc/self/status'):\n"
+        "    if line.startswith('VmHWM:'):\n"
+        "        print(int(line.split()[1]) * 1024)\n"
+    )
+    scenario = load_scenario(path)
+    peaks, nodes = {}, {}
+    for t_end in (5.0, 20.0):
+        argv = [str(path), repr(t_end), str(tmp_path / "t.csv")]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 0, result.stderr
+        peaks[t_end] = int(result.stdout.split()[-1])
+        reference = rk4_reference(scenario.signal, scenario.initial_state, t_end, 1e-3)
+        nodes[t_end] = len(reference.times)
+    reference_growth = (nodes[20.0] - nodes[5.0]) * n * d * 8
+    assert reference_growth > 10 * 2**20
+    growth = peaks[20.0] - peaks[5.0]
+    assert growth < reference_growth / 4, (growth, reference_growth)
 
 
 def test_oracle_step_with_more_nodes_than_memory_is_a_model_error(
