@@ -13,11 +13,14 @@ stderr and the CSV written by ``--out`` must match.  The list covers:
   ``--span 0 2`` and with ``--horizon 9``, and ``simulate --oracle``, also
   with an unstable step (exit 2) and with a step whose reference nodes do
   not fit in memory (exit 2);
+* ``simulate`` runs the run-grid check refuses (exit 2): ``--t-end 0``,
+  ``--sample-dt 0``, ``--t-end 1e10 --sample-dt 1e-300`` and
+  ``--oracle -1`` on the demo, and ``--t-end 7`` past the finite demo's end;
 * the seed-0 benchmark scenarios ``periodic-mid``, ``finite-long`` and
   ``periodic-large``: ``validate``, ``analyze``, ``simulate``, and
   ``simulate --oracle`` up to the benchmark's oracle ``--t-end``;
-* the demo as a finite signal through ``simulate --oracle`` up to its end
-  and to mid-segment, and a finite 3,000-segment variant of dwell 0.002
+* the demo as a finite signal through ``simulate --oracle`` up to its end,
+  to mid-segment and past its end, and a finite 3,000-segment variant of dwell 0.002
   (two oracle steps a segment);
 * demo variants with faulty edges, each through ``validate`` and
   ``analyze``: the first bad edge must be reported the same way.
@@ -95,6 +98,13 @@ def write_scenarios(directory: Path) -> list[tuple[str, list[str]]]:
             "demo simulate --oracle 1e-15 (refused)",
             [*simulate, "--oracle", "1e-15", "--t-end", "6"],
         ),
+        ("demo simulate --t-end 0", [*simulate, "--t-end", "0"]),
+        ("demo simulate --sample-dt 0", [*simulate, "--sample-dt", "0"]),
+        (
+            "demo simulate --sample-dt 1e-300 (too fine)",
+            [*simulate, "--t-end", "1e10", "--sample-dt", "1e-300"],
+        ),
+        ("demo simulate --oracle -1", [*simulate, "--oracle", "-1"]),
     ]
     for name in BENCHMARK_SCENARIOS:
         path = str(write_scenario(name, 0, directory))
@@ -117,7 +127,10 @@ def write_scenarios(directory: Path) -> list[tuple[str, list[str]]]:
         alpha=0.002,
         segments=[{"graph": f"G{k % 3 + 1}", "dwell": 0.002} for k in range(3000)],
     )
-    for name, doc, ends in (("finite", finite, ("6", "4.3")), ("short", short, ("6",))):
+    for name, doc, ends in (
+        ("finite", finite, ("6", "4.3", "7")),
+        ("short", short, ("6",)),
+    ):
         path = directory / f"{name}.json"
         path.write_text(json.dumps(doc))
         invocations += [

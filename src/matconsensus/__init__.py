@@ -37,7 +37,6 @@ from .graphs import (
     MatrixWeightedGraph,
     WeightMatrix,
     laplacian,
-    new_graph,
     set_edge,
 )
 from .scenario import (
@@ -103,7 +102,6 @@ __all__ = [
     "load_scenario",
     "max_oracle_deviation",
     "necessary_condition_scan",
-    "new_graph",
     "null_space_basis",
     "parse_scenario",
     "periodic_consensus_verdict",

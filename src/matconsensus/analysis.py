@@ -90,8 +90,14 @@ def contraction_factor(
     subspace, and whether it is strictly below one.
 
     ``contracts`` requires ``mu_next < 1 - tolerances.mu_gap`` so that a
-    verdict is never claimed on rounding noise.
+    verdict is never claimed on rounding noise.  A matrix that is not
+    ``nd x nd`` raises :class:`ModelError`.
     """
+    size = dims.stacked
+    if phi.matrix.shape != (size, size):
+        raise ModelError(
+            f"expected a {size}x{size} transition matrix, got shape {phi.matrix.shape}"
+        )
     eigenvalues, _ = symmetric_eigen(phi.matrix.T @ phi.matrix, tolerances)
     mu_next = float(eigenvalues[-1 - dims.d])
     return ContractionReport(mu_next=mu_next, contracts=mu_next < 1.0 - tolerances.mu_gap)
@@ -241,7 +247,8 @@ class _WindowBounds:
             return None
         values, vectors = self.signal.segment_eigensystem(k)
         self.floor += min(0.0, float(values[0]))
-        gershgorin = float(np.max(np.sum(np.abs(accumulated), axis=1)))
+        with np.errstate(over="ignore"):  # a row sum beyond the float range
+            gershgorin = float(np.max(np.sum(np.abs(accumulated), axis=1)))
         if not np.isfinite(2.0 * gershgorin):
             return None
         scale = max(1.0, float(np.max(np.diagonal(accumulated))))

@@ -321,25 +321,11 @@ def _render_text(report: dict[str, Any]) -> str:
         f"[{signal['alpha']!r}, {signal['beta']!r}]"
     )
     for name, doc in report["graphs"].items():
-        edges = ", ".join(
-            "({},{}) {}".format(*e["nodes"], e["definiteness"]) for e in doc["edges"]
-        )
-        agreement = "yes" if doc["equals_consensus"] else "no"
-        lines.append(
-            f"graph {name}: edges {edges or '(none)'}; "
-            f"null-space dimension {doc['null_space_dimension']}; "
-            f"agreement subspace: {agreement}"
-        )
+        lines.append(f"graph {name}: {_render_graph(doc)}")
     integral = report["integral"]
-    edges = ", ".join(
-        "({},{}) {}".format(*e["nodes"], e["definiteness"]) for e in integral["edges"]
-    )
-    agreement = "yes" if integral["equals_consensus"] else "no"
     lines.append(
         f"integral network over [{integral['span'][0]!r}, {integral['span'][1]!r}): "
-        f"edges {edges or '(none)'}; "
-        f"null-space dimension {integral['null_space_dimension']}; "
-        f"agreement subspace: {agreement}"
+        + _render_graph(integral)
     )
     tree = integral["positive_spanning_tree"]
     if tree["exists"]:
@@ -355,6 +341,19 @@ def _render_text(report: dict[str, Any]) -> str:
         for cert in verdict["certificates"]:
             lines.append(f"  certificate: {_render_certificate(cert)}")
     return "\n".join(lines) + "\n"
+
+
+def _render_graph(doc: dict[str, Any]) -> str:
+    """A report graph's edges and null space, as one line's tail."""
+    edges = ", ".join(
+        "({},{}) {}".format(*e["nodes"], e["definiteness"]) for e in doc["edges"]
+    )
+    agreement = "yes" if doc["equals_consensus"] else "no"
+    return (
+        f"edges {edges or '(none)'}; "
+        f"null-space dimension {doc['null_space_dimension']}; "
+        f"agreement subspace: {agreement}"
+    )
 
 
 def _render_certificate(cert: dict[str, Any]) -> str:

@@ -92,11 +92,6 @@ def _is_node_pair(key: object, n: int) -> bool:
     return 0 <= i < j < n
 
 
-def new_graph(dims: GraphDimensions) -> MatrixWeightedGraph:
-    """An edgeless graph on ``dims.n`` nodes."""
-    return MatrixWeightedGraph(dims=dims)
-
-
 def checked_weight(
     dims: GraphDimensions,
     i: int,

@@ -157,11 +157,7 @@ def _parse_tolerances(data: dict, path: str) -> Tolerances:
     try:
         return DEFAULT_TOLERANCES.replace(**overrides)
     except ModelError as error:
-        raise _contextualize(error, path) from error
-
-
-def _contextualize(error: ModelError, path: str) -> ModelError:
-    return ModelError(f"{path}: {error}")
+        raise ModelError(f"{path}: {error}") from error
 
 
 def _parse_graph(
@@ -205,7 +201,7 @@ def _parse_graph(
             try:
                 result = checked_weight(dims, i, j, weight, tolerances)
             except ModelError as error:
-                raise _contextualize(error, epath) from error
+                raise ModelError(f"{epath}: {error}") from error
         edges[min(i, j), max(i, j)] = result
     if fault is not None:
         raise fault
@@ -229,7 +225,7 @@ def parse_scenario(data: dict) -> Scenario:
     try:
         dims = GraphDimensions(n=n, d=d)
     except ModelError as error:
-        raise _contextualize(error, "dimensions") from error
+        raise ModelError(f"dimensions: {error}") from error
 
     graphs_raw = _expect(_get(data, "graphs", ""), dict, "graphs", "an object")
     if not graphs_raw:
@@ -271,7 +267,7 @@ def parse_scenario(data: dict) -> Scenario:
             [graphs[name] for name in names], segments, alpha, beta, periodic
         )
     except ModelError as error:
-        raise _contextualize(error, "signal") from error
+        raise ModelError(f"signal: {error}") from error
 
     initial_state = None
     if data.get("initial_state") is not None:

@@ -106,15 +106,13 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _check_horizon_time(signal: SwitchingSignal, t_end: float) -> None:
+def _check_grid(signal: SwitchingSignal, t_end: float, step: float, what: str) -> None:
+    """Reject a ``t_end`` that is not positive and finite or lies past the end
+    of a finite signal, then a step (named ``what``) that is not positive or
+    so fine that the number of steps up to ``t_end`` overflows."""
     if not 0 < t_end < math.inf:
         raise ModelError(f"t_end must be positive and finite, got {t_end}")
     signal.snap_to_end(t_end, f"t_end {t_end}")
-
-
-def _check_step(t_end: float, step: float, what: str) -> None:
-    """Reject a step that is not positive, or so fine that the number of
-    steps up to ``t_end`` overflows."""
     if not step > 0:
         raise ModelError(f"{what} must be positive, got {step}")
     if t_end / step == math.inf:
@@ -214,7 +212,7 @@ def _sample_times(
     """Time 0, the ``sample_dt`` grid, the switch instants and ``t_end``.
     A tick that is the same instant as a switch instant or ``t_end`` merges
     into it, and so does a switch instant at ``t_end``."""
-    starts = (float(t_k) for _, t_k, _ in signal.segments_between(0, t_end))
+    starts = (float(t_k) for _, t_k, _ in signal.segments_from(0, t_end))
     instants = [t for t in starts if not same_instant(t, t_end)] + [float(t_end)]
     count = math.floor(t_end / sample_dt)
     ticks = {0.0, *instants}
@@ -276,8 +274,7 @@ def simulate(
     beyond ``tolerances.mean_drift``, or whose ``V`` rises beyond
     ``tolerances.monotonicity`` raises :class:`ModelError`.
     """
-    _check_horizon_time(signal, t_end)
-    _check_step(t_end, sample_dt, "sample_dt")
+    _check_grid(signal, t_end, sample_dt, "sample_dt")
     _allocate_nodes(  # the grid's states must fit before the grid is built
         signal, t_end, sample_dt, f"the sample grid of sample_dt {sample_dt!r} up to "
         f"t_end {t_end!r} has up to {{rows}} samples, more states than fit in memory"
@@ -336,8 +333,7 @@ def _reference_nodes(
     """The checks ``rk4_reference`` makes before any step: the validated,
     stacked ``x0`` and an uninitialised array bounding the nodes from
     segment ``first`` up to ``t_end``."""
-    _check_horizon_time(signal, t_end)
-    _check_step(t_end, step, "step")
+    _check_grid(signal, t_end, step, "step")
     state = _stacked_state(x0, signal.dims)
     signal.segment_graph_index(first)  # ModelError outside the signal
     if not signal.switch_time_exact(first) < t_end:
@@ -416,19 +412,21 @@ def max_oracle_deviation(
 
     The whole run's nodes are counted, and refused as ``rk4_reference``
     refuses them, before any step.  The run is then walked a chunk of
-    ``max(1, ceil(_BLOCK_ROWS * step / alpha))`` whole segments at a time:
-    every dwell is at least ``alpha``, so a chunk but the last spans at least
-    ``_BLOCK_ROWS`` steps.  Each chunk is one ``rk4_reference`` call from
-    the chunk's first segment, compared with the exact walker from the same
-    segment in blocks of ``_BLOCK_ROWS`` rows; both walkers start from their
-    own end state of the chunk before, which gives the nodes and the states
-    of one whole-run walk bit for bit.  Only one chunk's nodes are held.  A
-    NaN gap anywhere makes the result NaN.
+    ``max(1, ceil(_BLOCK_ROWS * step / alpha))`` whole segments at a time,
+    one for an infinite step: every dwell is at least ``alpha``, so a chunk
+    but the last spans at least ``_BLOCK_ROWS`` steps.  Each chunk is one
+    ``rk4_reference`` call from the chunk's first segment, compared with the
+    exact walker from the same segment in blocks of ``_BLOCK_ROWS`` rows;
+    both walkers start from their own end state of the chunk before, which
+    gives the nodes and the states of one whole-run walk bit for bit.  Only
+    one chunk's nodes are held.  A NaN gap anywhere makes the result NaN.
     """
     # the count comes first; the whole run's array is dropped unused
     x0 = _reference_nodes(signal, x0, t_end, step)[0]
-    per_chunk = max(
-        1, math.ceil(Fraction(step) * _BLOCK_ROWS / Fraction(signal.alpha))
+    per_chunk = (
+        max(1, math.ceil(Fraction(step) * _BLOCK_ROWS / Fraction(signal.alpha)))
+        if step < math.inf
+        else 1  # an infinite step lands once on each segment's end
     )
     worst = np.float64(0.0)
     first, reference_state, exact_state = 0, x0, x0

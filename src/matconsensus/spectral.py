@@ -159,9 +159,10 @@ def null_space_basis(
     Eigenvalues at or below ``tolerances.null_space * max(1, lambda_max)``
     count as zero; the verdict is therefore invariant under positive
     rescaling of the matrix.  Raises :class:`ModelError` on a size
-    mismatch, if an eigenvalue is clearly negative, or if one is beyond the
-    float range.  ``eigensystem`` is the matrix's :func:`symmetric_eigen`
-    where the caller already has it, so the matrix is not decomposed again.
+    mismatch of the matrix or of ``eigensystem``, if an eigenvalue is clearly
+    negative, or if one is beyond the float range.  ``eigensystem`` is the
+    matrix's :func:`symmetric_eigen` where the caller already has it, so the
+    matrix is not decomposed again.
     """
     matrix = np.asarray(matrix, dtype=float)
     size = dims.n * dims.d
@@ -173,6 +174,12 @@ def null_space_basis(
     if eigensystem is None:
         eigensystem = symmetric_eigen(matrix, tolerances)
     eigenvalues, eigenvectors = eigensystem
+    shapes = np.shape(eigenvalues), np.shape(eigenvectors)
+    if shapes != ((size,), (size, size)):
+        raise ModelError(
+            f"expected an eigensystem of {size} eigenvalues and {size}x{size} "
+            f"eigenvectors, got shapes {shapes[0]} and {shapes[1]}"
+        )
     if not np.isfinite(eigenvalues).all():
         raise ModelError("matrix has an eigenvalue beyond the float range")
     lam_max = max(float(eigenvalues[-1]), 0.0)

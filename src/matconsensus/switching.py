@@ -46,6 +46,17 @@ def same_instant(a: float | Fraction, b: float | Fraction) -> bool:
     return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
+def _finite(t: object, what: str) -> float:
+    """``t`` as a float; raise :class:`ModelError` naming ``what`` unless it
+    is a finite number."""
+    try:
+        if math.isfinite(value := float(t)):
+            return value
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int
+        pass
+    raise ModelError(f"{what} {t!r} is not a finite number")
+
+
 class SwitchingSignal:
     """A sequence of graph segments with dwell-time bounds, finite or
     repeated forever.
@@ -98,7 +109,7 @@ class SwitchingSignal:
                 raise ModelError(
                     f"segment {k} graph index {g!r} is not an integer"
                 ) from None
-            indexed.append((g, float(dt)))
+            indexed.append((g, _finite(dt, f"segment {k} dwell")))
         segments = tuple(indexed)
         if not segments:
             raise ModelError("a switching signal needs at least one segment")
@@ -182,28 +193,15 @@ class SwitchingSignal:
     def segment_graph_index(self, k: int) -> int:
         return self.segments[self._locate(k)[1]][0]
 
-    def segment_graph(self, k: int) -> MatrixWeightedGraph:
-        return self.graphs[self.segment_graph_index(k)]
-
     def segment_index_at(self, t: float | Fraction) -> int:
         """Index of the segment active at time ``t`` (``t_k <= t < t_k+1``)."""
-        tf = t if isinstance(t, Fraction) else Fraction(float(t))
+        tf = t if isinstance(t, Fraction) else Fraction(_finite(t, "time"))
         if tf < 0 or (not self.periodic and tf >= self.period_exact):
             raise ModelError(
                 f"time {t} outside [0, {self.total_duration})"
             )
         cycle, rest = divmod(tf, self.period_exact)
         return int(cycle) * len(self.segments) + bisect_right(self._times, rest) - 1
-
-    def segments_between(
-        self, start: float | Fraction, end: float | Fraction
-    ) -> Iterator[tuple[int, Fraction, Fraction]]:
-        """Yield ``(k, t_k, t_k+1)`` with exact switch instants for every
-        segment that overlaps ``[start, end)``, in time order.  A finite
-        signal stops after its last segment."""
-        k = self.segment_index_at(start)
-        if start < end:
-            yield from self.segments_from(k, end)
 
     def segments_from(
         self, k: int, end: float | Fraction
@@ -291,8 +289,8 @@ def integral_network(
     sum, and a recurring position's weight is rounded once.  The averaged
     blocks are classified together, in one stacked call.
     """
-    start = Fraction(float(t_start))
-    end = Fraction(float(t_end))
+    start = Fraction(_finite(t_start, "span start"))
+    end = Fraction(_finite(t_end, "span end"))
     if start < 0:
         raise ModelError(f"span start {t_start} must be non-negative")
     if end <= start:
@@ -317,7 +315,8 @@ def integral_network(
         if overlap == 0:
             continue
         weight = float(overlap / span)
-        for pair, edge_weight in signal.segment_graph(k).edges.items():
+        graph = signal.graphs[signal.segment_graph_index(k)]
+        for pair, edge_weight in graph.edges.items():
             if pair in blocks:
                 blocks[pair] = blocks[pair] + weight * edge_weight.entries
             else:

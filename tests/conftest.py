@@ -14,9 +14,9 @@ import pytest
 from matconsensus import (
     DEFAULT_TOLERANCES,
     GraphDimensions,
+    MatrixWeightedGraph,
     SwitchingSignal,
     integral_network,
-    new_graph,
     set_edge,
 )
 
@@ -80,15 +80,15 @@ def dims4x2() -> GraphDimensions:
 def demo_graphs(dims4x2):
     """The three demo graphs: a line 1-2-3, a star into node 4, and a single
     strong 2-3 link."""
-    g_line = new_graph(dims4x2)
+    g_line = MatrixWeightedGraph(dims4x2)
     g_line = set_edge(g_line, 0, 1, [[1, 1], [1, 2]])
     g_line = set_edge(g_line, 1, 2, [[1, 1], [1, 1]])
 
-    g_star = new_graph(dims4x2)
+    g_star = MatrixWeightedGraph(dims4x2)
     g_star = set_edge(g_star, 1, 3, [[1, 0], [0, 2]])
     g_star = set_edge(g_star, 2, 3, [[1, 0], [0, 0]])
 
-    g_link = new_graph(dims4x2)
+    g_link = MatrixWeightedGraph(dims4x2)
     g_link = set_edge(g_link, 1, 2, [[1, -1], [-1, 2]])
     return g_line, g_star, g_link
 
@@ -147,7 +147,7 @@ def random_weight(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_graph(rng: np.random.Generator, dims: GraphDimensions, edge_prob=0.45):
-    graph = new_graph(dims)
+    graph = MatrixWeightedGraph(dims)
     for i in range(dims.n):
         for j in range(i + 1, dims.n):
             if rng.random() < edge_prob:

@@ -7,6 +7,7 @@ from matconsensus import (
     Decision,
     GraphDimensions,
     HorizonExhausted,
+    MatrixWeightedGraph,
     ModelError,
     NullSpaceMatch,
     NullSpaceObstruction,
@@ -19,9 +20,9 @@ from matconsensus import (
     consensus_subspace,
     contraction_factor,
     integral_network,
+    integral_report,
     laplacian,
     necessary_condition_scan,
-    new_graph,
     null_space_basis,
     periodic_consensus_verdict,
     positive_spanning_tree,
@@ -82,6 +83,14 @@ def test_contraction_factor_identity(dims4x2):
     assert not report.contracts
 
 
+def test_contraction_factor_checks_the_matrix_size(dims4x2):
+    with pytest.raises(
+        ModelError,
+        match=r"^expected a 8x8 transition matrix, got shape \(2, 2\)$",
+    ):
+        contraction_factor(TransitionMatrix(0, 1, np.eye(2)), dims4x2)
+
+
 def test_contraction_factor_period(demo_signal, dims4x2):
     phi = transition_matrix(demo_signal, 0, 3)
     report = contraction_factor(phi, dims4x2)
@@ -93,7 +102,7 @@ def test_contraction_factor_spectral_mapping():
     """For a single positive-definite-tree segment, mu is exp(-2 t lambda)
     with lambda the smallest nonzero Laplacian eigenvalue."""
     dims = GraphDimensions(n=2, d=2)
-    graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
+    graph = set_edge(MatrixWeightedGraph(dims), 0, 1, [[2, 0], [0, 1]])
     signal = SwitchingSignal([graph], [(0, 1.5)], alpha=1.0, beta=2.0)
     lap_eigs = np.linalg.eigvalsh(laplacian(graph))
     report = contraction_factor(transition_matrix(signal, 0, 1), dims)
@@ -116,7 +125,7 @@ def test_positive_spanning_tree_single_graphs(demo_graphs):
 
 def test_positive_spanning_tree_complete_identity():
     dims = GraphDimensions(n=4, d=2)
-    graph = new_graph(dims)
+    graph = MatrixWeightedGraph(dims)
     for i in range(4):
         for j in range(i + 1, 4):
             graph = set_edge(graph, i, j, np.eye(2))
@@ -129,7 +138,7 @@ def test_positive_spanning_tree_ignores_psd_edges():
     """A connected graph whose only spanning structure uses PSD edges has no
     positive spanning tree."""
     dims = GraphDimensions(n=3, d=2)
-    graph = set_edge(new_graph(dims), 0, 1, np.eye(2))
+    graph = set_edge(MatrixWeightedGraph(dims), 0, 1, np.eye(2))
     graph = set_edge(graph, 1, 2, [[1, 0], [0, 0]])
     exists, edges = positive_spanning_tree(graph)
     assert not exists
@@ -148,6 +157,16 @@ def test_periodic_verdict_consensus(demo_signal):
 def test_periodic_verdict_requires_periodic_signal(demo_finite_signal):
     with pytest.raises(ModelError, match="requires a periodic signal"):
         periodic_consensus_verdict(demo_finite_signal)
+
+
+def test_periodic_verdict_refuses_a_report_over_another_span(demo_signal):
+    span = (0.0, 2.0)
+    report = integral_report(span, integral_network(demo_signal, *span))
+    with pytest.raises(
+        ModelError,
+        match=r"^the integral report spans \[0\.0, 2\.0\), not one period \[0\.0, 6\.0\)$",
+    ):
+        periodic_consensus_verdict(demo_signal, integral=report)
 
 
 def test_periodic_verdict_no_consensus_witness(demo_graphs, dims4x2):
@@ -172,8 +191,8 @@ def test_periodic_verdict_no_consensus_witness(demo_graphs, dims4x2):
     # space that decided the verdict, not be the agreement vector's rounding
     # residual blown up to unit length.
     dims = GraphDimensions(n=3, d=1)
-    strong = set_edge(new_graph(dims), 0, 1, [[1.0]])
-    weak = set_edge(new_graph(dims), 1, 2, [[3e-9]])
+    strong = set_edge(MatrixWeightedGraph(dims), 0, 1, [[1.0]])
+    weak = set_edge(MatrixWeightedGraph(dims), 1, 2, [[3e-9]])
     signal = SwitchingSignal(
         [strong, weak], [(0, 4.0), (1, 0.5), (0, 4.0)],
         alpha=0.5, beta=4.0, periodic=True,
@@ -187,7 +206,7 @@ def test_periodic_verdict_no_consensus_witness(demo_graphs, dims4x2):
 
 def test_periodic_verdict_single_pd_tree_graph():
     dims = GraphDimensions(n=3, d=2)
-    graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
+    graph = set_edge(MatrixWeightedGraph(dims), 0, 1, [[2, 0], [0, 1]])
     graph = set_edge(graph, 1, 2, np.eye(2))
     signal = SwitchingSignal(
         [graph], [(0, 1.0), (0, 1.0), (0, 1.0)], alpha=0.5, beta=2.0, periodic=True
@@ -234,6 +253,19 @@ def test_necessary_scan_never_closing(demo_graphs):
     assert _cert(verdict, HorizonExhausted).windows == ()
 
 
+def test_scan_of_a_sum_beyond_the_float_range_raises_the_kernels_error():
+    """A 1e308 edge puts the first window's Gershgorin row sum beyond the
+    float range.  The bounds step aside without numpy's overflow warning,
+    which the test run would raise as an error, and the exact kernel refuses
+    the sum's eigenvalue of 2e308."""
+    dims = GraphDimensions(n=2, d=1)
+    huge = set_edge(MatrixWeightedGraph(dims), 0, 1, [[1e308]])
+    segments = [(0, 1.0), (1, 1.0), (1, 1.0)]
+    signal = SwitchingSignal([huge, MatrixWeightedGraph(dims)], segments, 0.5, 2.0)
+    with pytest.raises(ModelError, match="^matrix has an eigenvalue beyond the float range$"):
+        necessary_condition_scan(signal, 2)
+
+
 def test_necessary_scan_horizon_validation(demo_signal, demo_finite_signal):
     with pytest.raises(ModelError, match="horizon must be at least 1, got 0"):
         necessary_condition_scan(demo_signal, 0)
@@ -278,7 +310,7 @@ def test_sufficient_certificate_boundary_threshold():
     """mu <= q is inclusive: certifying with q equal to the measured mu
     still yields consensus."""
     dims = GraphDimensions(n=2, d=2)
-    graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
+    graph = set_edge(MatrixWeightedGraph(dims), 0, 1, [[2, 0], [0, 1]])
     signal = SwitchingSignal([graph], [(0, 1.0)], alpha=0.5, beta=2.0)
     mu = contraction_factor(transition_matrix(signal, 0, 1), dims).mu_next
     verdict = sufficient_condition_certificate(
@@ -410,8 +442,8 @@ def test_bounded_scan_keeps_the_kernels_psd_check():
     dims = GraphDimensions(n=2, d=3)
     dip = -0.9e-9
     graphs = [
-        set_edge(new_graph(dims), 0, 1, np.diag([1.0, 0.0, dip])),
-        set_edge(new_graph(dims), 0, 1, np.diag([0.0, 1.0, dip])),
+        set_edge(MatrixWeightedGraph(dims), 0, 1, np.diag([1.0, 0.0, dip])),
+        set_edge(MatrixWeightedGraph(dims), 0, 1, np.diag([0.0, 1.0, dip])),
     ]
     signal = SwitchingSignal(graphs, [(0, 1.0), (1, 1.0), (0, 1.0)], 0.5, 2.0)
     bounded, exact = _bounded_and_exact(signal, 3)

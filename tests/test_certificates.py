@@ -57,7 +57,8 @@ def _audit_witness(signal, window, witness):
     assert np.max(np.abs(consensus_subspace(dims).T @ witness)) <= 1e-12
     nodes = witness.reshape(dims.n, dims.d)
     for k in range(*window):
-        for (i, j), weight in signal.segment_graph(k).edges.items():
+        graph = signal.graphs[signal.segment_graph_index(k)]
+        for (i, j), weight in graph.edges.items():
             pull = np.linalg.norm(weight.entries @ (nodes[i] - nodes[j]))
             assert pull <= WITNESS_EDGE_TOL * np.linalg.norm(weight.entries, 2), (
                 k, (i, j), pull,

@@ -81,9 +81,21 @@ def test_exit_code_for_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
 
-def test_exit_code_for_usage_error(capsys):
+def test_exit_code_for_usage_error(fixture_path, capsys):
     assert main(["analyze"]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert main(["analyze", str(fixture_path), "--q", "abc"]) == 1
+    assert "usage error: argument --q: expected a finite number, got 'abc'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_simulate_into_a_missing_directory_exits_1(fixture_path, tmp_path, capsys):
+    out = tmp_path / "absent" / "traj.csv"
+    assert main(["simulate", str(fixture_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert "Traceback" not in err and not out.parent.exists()
 
 
 def test_analyze_json_report(fixture_path, capsys):

@@ -12,7 +12,6 @@ from matconsensus import (
     WeightMatrix,
     cli,
     laplacian,
-    new_graph,
     set_edge,
 )
 from conftest import LAP_A, LAP_B, LAP_C, random_graph
@@ -43,7 +42,7 @@ def test_dimensions_reject_degenerate_sizes():
 
 
 def test_set_edge_classifies_and_stores(dims4x2):
-    graph = set_edge(new_graph(dims4x2), 1, 0, [[1, 1], [1, 2]])
+    graph = set_edge(MatrixWeightedGraph(dims4x2), 1, 0, [[1, 1], [1, 2]])
     assert list(graph.edges) == [(0, 1)]
     assert graph.edges[(0, 1)].definiteness is Definiteness.POSITIVE_DEFINITE
 
@@ -54,7 +53,7 @@ def test_set_edge_classifies_and_stores(dims4x2):
 
 def test_set_edge_is_functional(dims4x2):
     """set_edge returns a new graph; the original is untouched."""
-    empty = new_graph(dims4x2)
+    empty = MatrixWeightedGraph(dims4x2)
     grown = set_edge(empty, 0, 1, np.eye(2))
     assert len(empty.edges) == 0
     assert len(grown.edges) == 1
@@ -63,7 +62,7 @@ def test_set_edge_is_functional(dims4x2):
 
 
 def test_set_edge_rejections(dims4x2):
-    graph = new_graph(dims4x2)
+    graph = MatrixWeightedGraph(dims4x2)
     with pytest.raises(ModelError, match="self-loop at node 2 is not allowed"):
         set_edge(graph, 2, 2, np.eye(2))
     with pytest.raises(
@@ -83,7 +82,7 @@ def test_set_edge_rejections(dims4x2):
 def test_set_edge_rejects_non_integer_indices():
     """A float index is refused before it becomes an edge key that
     ``laplacian`` cannot slice with; a numpy integer is accepted."""
-    graph = new_graph(GraphDimensions(n=2, d=1))
+    graph = MatrixWeightedGraph(GraphDimensions(n=2, d=1))
     with pytest.raises(ModelError, match=r"^node index 0\.5 is not an integer$"):
         set_edge(graph, 0.5, 1, [[1.0]])
     with pytest.raises(ModelError, match=r"^node index 1\.0 is not an integer$"):
@@ -93,14 +92,14 @@ def test_set_edge_rejects_non_integer_indices():
 
 def test_set_edge_symmetrizes_rounding_noise(dims4x2):
     noisy = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
-    graph = set_edge(new_graph(dims4x2), 0, 1, noisy)
+    graph = set_edge(MatrixWeightedGraph(dims4x2), 0, 1, noisy)
     stored = graph.edges[(0, 1)].entries
     assert np.array_equal(stored, stored.T)
 
 
 def test_degree_blocks(dims4x2, demo_graphs):
     g_line, g_star, g_link = demo_graphs
-    assert np.array_equal(laplacian(new_graph(dims4x2)), np.zeros((8, 8)))
+    assert np.array_equal(laplacian(MatrixWeightedGraph(dims4x2)), np.zeros((8, 8)))
     # node 4 of the star graph accumulates both incident weights
     lap = laplacian(g_star)
     assert np.array_equal(lap[6:8, 6:8], np.diag([2.0, 2.0]))
@@ -118,14 +117,36 @@ def test_laplacian_matches_frozen_matrices(demo_graphs):
 def test_laplacian_is_degree_minus_adjacency(dims4x2, demo_graphs, rng):
     """Byte for byte, signed zeros included: a weight with ``-0.0``
     entries and nodes with several incident edges are among the cases."""
-    signed_zero = set_edge(new_graph(dims4x2), 0, 1, [[1.0, -0.0], [-0.0, 2.0]])
+    signed_zero = set_edge(MatrixWeightedGraph(dims4x2), 0, 1, [[1.0, -0.0], [-0.0, 2.0]])
     signed_zero = set_edge(signed_zero, 1, 2, [[3.0, -0.0], [-0.0, 0.0]])
-    graphs = [*demo_graphs, new_graph(dims4x2), signed_zero]
+    graphs = [*demo_graphs, MatrixWeightedGraph(dims4x2), signed_zero]
     for _ in range(20):
         dims = GraphDimensions(n=int(rng.integers(2, 7)), d=int(rng.integers(1, 4)))
         graphs.append(random_graph(rng, dims, edge_prob=0.7))
     for graph in graphs:
         assert laplacian(graph).tobytes() == _reference_laplacian(graph).tobytes()
+
+
+def test_a_sum_started_from_zeros_is_the_laplacian_bit_for_bit(demo_graphs, rng):
+    """The window scan starts each Laplacian sum as ``np.zeros + L``.
+    ``laplacian`` stores ``0.0 - W`` off the diagonal and adds into zeros on
+    it, and neither can give ``-0.0``, so that sum is ``L`` bit for bit, also
+    for weights with ``-0.0`` entries."""
+    graphs = list(demo_graphs)
+    for _ in range(30):
+        dims = GraphDimensions(n=int(rng.integers(2, 7)), d=int(rng.integers(1, 4)))
+        graph = random_graph(rng, dims, edge_prob=0.7)
+        edges = {}
+        for pair, weight in graph.edges.items():
+            entries = weight.entries.copy()
+            signed = rng.random(entries.shape) < 0.4
+            entries[signed | signed.T] = -0.0
+            edges[pair] = WeightMatrix(entries, weight.definiteness)
+        graphs += [graph, MatrixWeightedGraph(dims, edges)]
+    for graph in graphs:
+        lap = laplacian(graph)
+        assert not np.any(np.signbit(lap) & (lap == 0.0))
+        assert (np.zeros(lap.shape) + lap).tobytes() == lap.tobytes()
 
 
 def test_laplacian_allocates_only_its_result():
@@ -167,7 +188,7 @@ def test_laplacian_symmetric_psd(rng):
 def test_set_edge_rejects_non_finite_weights(dims4x2):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ModelError, match=r"edge \(0, 1\) has non-finite") as info:
-            set_edge(new_graph(dims4x2), 0, 1, [[1.0, 0.0], [0.0, bad]])
+            set_edge(MatrixWeightedGraph(dims4x2), 0, 1, [[1.0, 0.0], [0.0, bad]])
         assert type(info.value) is ModelError
 
 
@@ -178,7 +199,7 @@ def test_set_edge_symmetrises_huge_weights_without_overflow(dims4x2):
         (np.full((2, 2), 1e308), Definiteness.POSITIVE_SEMIDEFINITE),
     ):
         with np.errstate(over="raise"):
-            weight = set_edge(new_graph(dims4x2), 0, 1, huge).edges[(0, 1)]
+            weight = set_edge(MatrixWeightedGraph(dims4x2), 0, 1, huge).edges[(0, 1)]
         assert weight.definiteness is kind
         assert np.array_equal(weight.entries, huge)
 

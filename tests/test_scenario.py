@@ -100,6 +100,26 @@ def test_bad_weight_shape():
     with pytest.raises(ScenarioError, match="row-major"):
         parse_scenario(data)
 
+    data = minimal_scenario()
+    data["dimensions"]["d"] = 2
+    data["graphs"]["pair"][0]["weight"] = [[1.0, 0.0], [0.0]]
+    with pytest.raises(
+        ScenarioError, match=r"^graphs\.pair\[0\]\.weight: expected 2 rows of 2 numbers$"
+    ):
+        parse_scenario(data)
+
+
+def test_empty_graphs_and_a_wrong_row_count_name_their_path():
+    data = minimal_scenario()
+    data["graphs"] = {}
+    with pytest.raises(ScenarioError, match="^graphs: at least one graph is required$"):
+        parse_scenario(data)
+
+    data = minimal_scenario()
+    data["initial_state"] = [[1.0], [2.0], [3.0]]
+    with pytest.raises(ScenarioError, match="^initial_state: expected 2 rows, got 3$"):
+        parse_scenario(data)
+
 
 def test_unknown_graph_in_segment():
     data = minimal_scenario()

@@ -15,13 +15,13 @@ import scipy.linalg
 
 from matconsensus import (
     GraphDimensions,
+    MatrixWeightedGraph,
     ModelError,
     SwitchingSignal,
     average_consensus_point,
     laplacian,
     load_scenario,
     max_oracle_deviation,
-    new_graph,
     rk4_reference,
     set_edge,
     simulate,
@@ -29,9 +29,8 @@ from matconsensus import (
 from matconsensus import cli, simulator
 from matconsensus.simulator import (
     Trajectory,
-    _check_horizon_time,
+    _check_grid,
     _check_stable_step,
-    _check_step,
     _stacked_state,
 )
 from matconsensus.switching import same_instant
@@ -157,7 +156,7 @@ def test_disagreement_trace(demo_signal, demo_initial_state):
 def test_rk4_reference_zero_laplacian():
     dims = GraphDimensions(n=2, d=1)
     signal = SwitchingSignal(
-        [new_graph(dims)], [(0, 1.0)], alpha=0.5, beta=2.0
+        [MatrixWeightedGraph(dims)], [(0, 1.0)], alpha=0.5, beta=2.0
     )
     x0 = np.array([2.5, -1.0])
     trajectory = rk4_reference(signal, x0, 1.0, 0.1)
@@ -168,7 +167,7 @@ def test_rk4_reference_scalar_closed_form():
     """Two scalar nodes with a unit edge: disagreement decays like
     exp(-2t); RK4 at step 1e-3 matches to 1e-9."""
     dims = GraphDimensions(n=2, d=1)
-    graph = set_edge(new_graph(dims), 0, 1, [[1.0]])
+    graph = set_edge(MatrixWeightedGraph(dims), 0, 1, [[1.0]])
     signal = SwitchingSignal([graph], [(0, 2.0)], alpha=1.0, beta=4.0)
     x0 = np.array([1.0, 0.0])
     trajectory = rk4_reference(signal, x0, 2.0, 1e-3)
@@ -192,7 +191,7 @@ def test_rk4_reference_subdivides_at_switches(demo_graphs):
     ):
         signal = SwitchingSignal(demo_graphs, segments, alpha, 4.0, periodic=True)
         times = rk4_reference(signal, X0, t_end, step).times.tolist()
-        instants = [float(t_k) for _, t_k, _ in signal.segments_between(0, t_end)]
+        instants = [float(t_k) for _, t_k, _ in signal.segments_from(0, t_end)]
         assert set(instants[1:] + [t_end]) <= set(times), segments
         assert times[-1] == t_end
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -243,6 +242,24 @@ def test_rk4_reference_from_a_segment_outside_the_run_is_refused(
 def test_max_oracle_deviation_demo(demo_signal, demo_initial_state):
     deviation = max_oracle_deviation(demo_signal, demo_initial_state, 12.0, 1e-3)
     assert deviation <= 1e-6
+
+
+def test_an_infinite_oracle_step_is_taken_as_rk4_reference_takes_it(demo_signal):
+    """An infinite step lands once on each segment's end, in the oracle as
+    in ``rk4_reference``: the demo refuses it as unstable with a
+    ``ModelError``, not an ``OverflowError``, and a signal whose Laplacian
+    is zero has no gap."""
+    for run in (rk4_reference, max_oracle_deviation):
+        with pytest.raises(ModelError, match=r"^RK4 step 1\.0 is unstable on segment 0"):
+            run(demo_signal, X0, 1.0, math.inf)
+    dims = GraphDimensions(n=2, d=1)
+    still = SwitchingSignal(
+        [MatrixWeightedGraph(dims)], [(0, 1.0)] * 3, alpha=0.5, beta=2.0, periodic=True
+    )
+    x0 = np.array([2.5, -1.0])
+    nodes = rk4_reference(still, x0, 4.5, math.inf).times.tolist()
+    assert nodes == [0.0, 1.0, 2.0, 3.0, 4.0, 4.5]
+    assert max_oracle_deviation(still, x0, 4.5, math.inf) == 0.0
 
 
 def test_laplacian_fixture_consistency(demo_graphs):
@@ -310,7 +327,7 @@ def test_trajectory_leaving_the_float_range_is_a_model_error(dims4x2, demo_signa
     """A 1e308 weight next to O(1) ones: the Laplacian's small eigenvalues
     are rounding noise, and exact propagation turns NaN.  A finite initial
     state of 1e200 has a disagreement V beyond the float range."""
-    graph = set_edge(new_graph(dims4x2), 0, 1, [[1.0, 1.0], [1.0, 2.0]])
+    graph = set_edge(MatrixWeightedGraph(dims4x2), 0, 1, [[1.0, 1.0], [1.0, 2.0]])
     graph = set_edge(graph, 1, 2, [[1e308, 1.0], [1.0, 1.0]])
     wide = SwitchingSignal([graph], [(0, 2.0)] * 3, 0.5, 4.0, periodic=True)
     huge = X0.copy()
@@ -448,7 +465,7 @@ def _reference_states_at(signal, x0, times):
     states = np.empty((len(times), x0.shape[0]))
     current = x0.copy()
     i = 0
-    for k, t_k, t_next in signal.segments_between(0, times[-1]):
+    for k, t_k, t_next in signal.segments_from(0, times[-1]):
         seg_start, seg_end = float(t_k), float(t_next)
         while i < len(times) and times[i] < seg_end:
             delta = times[i] - seg_start
@@ -473,14 +490,13 @@ def _reference_rk4_step(lap, state, h):
 
 
 def _reference_rk4(signal, x0, t_end, step):
-    _check_horizon_time(signal, t_end)
-    _check_step(t_end, step, "step")
+    _check_grid(signal, t_end, step, "step")
     state = _stacked_state(x0, signal.dims)
 
     times = [0.0]
     states = [state]
     seg_start = 0.0
-    for k, _, t_next in signal.segments_between(0, t_end):
+    for k, _, t_next in signal.segments_from(0, t_end):
         seg_end = min(float(t_next), t_end)
         span = seg_end - seg_start
         lap = signal.segment_laplacian(k)
@@ -558,7 +574,7 @@ def _tail_matches(signal, x0, t_end, step, whole, rng):
     """``rk4_reference(..., first=k)`` from the whole run's state at a
     switch instant ``t_k`` before ``t_end`` gives the whole run's later
     times and states bit for bit; returns whether a ``k`` was tried."""
-    starts = [k for k, t_k, _ in signal.segments_between(0, t_end) if k > 0]
+    starts = [k for k, t_k, _ in signal.segments_from(0, t_end) if k > 0]
     if not starts:
         return False
     k = int(rng.choice(starts))
@@ -621,7 +637,7 @@ def test_streamed_oracle_matches_the_reference_bit_for_bit(monkeypatch):
         signal = SwitchingSignal(graphs, segments, 0.02, 0.2, periodic=periodic)
         t_end = 1.7 * signal.period if periodic else math.fsum(dwells)
         past_end += not periodic and t_end > signal.period_exact
-        walked = len(list(signal.segments_between(0, t_end)))
+        walked = len(list(signal.segments_from(0, t_end)))
         assert walked > math.ceil(simulator._BLOCK_ROWS * 1e-3 / 0.02), walked
         x0 = rng.normal(size=dims.stacked)
         _assert_chunked_oracle_matches(monkeypatch, signal, x0, t_end, 1e-3)
@@ -632,7 +648,7 @@ def test_streamed_oracle_matches_the_reference_bit_for_bit(monkeypatch):
 def _near_duplicate_times(rng, signal, t_end):
     """Ascending times with switch instants, their neighbouring floats and
     pairs of instants one ulp apart."""
-    instants = [float(t) for _, t, _ in signal.segments_between(0, t_end)]
+    instants = [float(t) for _, t, _ in signal.segments_from(0, t_end)]
     times = {0.0, t_end, *rng.uniform(0.0, t_end, size=12).tolist()}
     for t in instants + rng.uniform(0.0, t_end, size=4).tolist():
         times.update({t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)})
@@ -860,7 +876,7 @@ def test_simulate_holds_one_states_sized_array():
 
 
 def _reference_sample_times(signal, t_end, sample_dt):
-    starts = (float(t_k) for _, t_k, _ in signal.segments_between(0, t_end))
+    starts = (float(t_k) for _, t_k, _ in signal.segments_from(0, t_end))
     instants = [t for t in starts if not same_instant(t, t_end)] + [float(t_end)]
     count = int(math.floor(t_end / sample_dt + 1e-9))
     ticks = {0.0, *instants}

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from matconsensus import (
     Definiteness,
     GraphDimensions,
+    MatrixWeightedGraph,
     ModelError,
     classify_definiteness,
     consensus_subspace,
     laplacian,
-    new_graph,
     null_space_basis,
     set_edge,
     symmetric_eigen,
@@ -59,9 +59,27 @@ def test_null_space_beyond_the_float_range_is_a_model_error():
     """The Laplacian of a 1e308 edge has eigenvalue 2e308; with an infinite
     threshold every direction would count as null."""
     dims = GraphDimensions(n=2, d=1)
-    graph = set_edge(new_graph(dims), 0, 1, [[1e308]])
+    graph = set_edge(MatrixWeightedGraph(dims), 0, 1, [[1e308]])
     with pytest.raises(ModelError, match="eigenvalue beyond the float range"):
         null_space_basis(laplacian(graph), dims)
+
+
+def test_null_space_checks_the_matrix_size(dims4x2):
+    with pytest.raises(
+        ModelError, match=r"^expected a 8x8 matrix for n=4, d=2, got shape \(3, 3\)$"
+    ):
+        null_space_basis(np.eye(3), dims4x2)
+
+
+def test_null_space_checks_the_eigensystem_size(dims4x2):
+    """An eigensystem of another size than the matrix is refused, not used
+    to build the report."""
+    with pytest.raises(
+        ModelError,
+        match=r"^expected an eigensystem of 8 eigenvalues and 8x8 eigenvectors, "
+        r"got shapes \(3,\) and \(3, 3\)$",
+    ):
+        null_space_basis(LAP_A, dims4x2, eigensystem=(np.zeros(3), np.eye(3)))
 
 
 def test_classify_definiteness_cases():
@@ -163,7 +181,7 @@ def test_null_space_of_demo_laplacians(dims4x2):
 
 def test_null_space_equals_consensus_for_pd_tree():
     dims = GraphDimensions(n=3, d=2)
-    graph = set_edge(new_graph(dims), 0, 1, [[2, 0], [0, 1]])
+    graph = set_edge(MatrixWeightedGraph(dims), 0, 1, [[2, 0], [0, 1]])
     graph = set_edge(graph, 1, 2, [[1, 0.5], [0.5, 1]])
     report = null_space_basis(laplacian(graph), dims)
     assert report.dimension == 2

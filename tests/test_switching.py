@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,11 +13,11 @@ from matconsensus import (
     DEFAULT_TOLERANCES,
     Definiteness,
     GraphDimensions,
+    MatrixWeightedGraph,
     ModelError,
     SwitchingSignal,
     classify_definiteness,
     integral_network,
-    new_graph,
     null_space_basis,
     set_edge,
     simulate,
@@ -37,7 +38,7 @@ def test_build_switching_signal_switch_times(demo_graphs):
     assert signal.segment_count == 3
     assert [signal.switch_time(k) for k in range(4)] == [0.0, 2.0, 5.0, 6.0]
     assert signal.total_duration == 6.0
-    assert signal.segment_graph(1) is demo_graphs[1]
+    assert signal.graphs[signal.segment_graph_index(1)] is demo_graphs[1]
 
 
 def test_build_switching_signal_rejections(demo_graphs):
@@ -49,11 +50,17 @@ def test_build_switching_signal_rejections(demo_graphs):
         SwitchingSignal(demo_graphs, [(0, 9.0)], alpha=0.5, beta=4.0)
     with pytest.raises(ModelError, match="dwell bounds must satisfy 0 < alpha <= beta"):
         SwitchingSignal(demo_graphs, [(0, 1.0)], alpha=2.0, beta=1.0)
-    other = new_graph(GraphDimensions(n=3, d=2))
+    other = MatrixWeightedGraph(GraphDimensions(n=3, d=2))
     with pytest.raises(ModelError, match=r"graph 3 has dimensions GraphDimensions\(n=3"):
         SwitchingSignal(
             list(demo_graphs) + [other], [(0, 1.0)], alpha=0.5, beta=4.0
         )
+    with pytest.raises(ModelError, match="^at least one graph is required$"):
+        SwitchingSignal([], [(0, 1.0)], alpha=0.5, beta=4.0)
+    with pytest.raises(
+        ModelError, match="^segment 1 references graph 3, but only 3 graphs were given$"
+    ):
+        SwitchingSignal(demo_graphs, [(0, 1.0), (3, 1.0)], alpha=0.5, beta=4.0)
 
 
 def test_switching_signal_rejects_a_non_integer_graph_index(demo_graphs):
@@ -81,7 +88,7 @@ def test_periodic_signal_period_and_indexing(demo_graphs):
 
 def test_segment_index_at(demo_graphs, demo_signal, demo_finite_signal):
     def active_graph(s, t):
-        return s.segment_graph(s.segment_index_at(t))
+        return s.graphs[s.segment_graph_index(s.segment_index_at(t))]
 
     finite = demo_finite_signal
     assert active_graph(finite, 0.0) is demo_graphs[0]
@@ -265,9 +272,10 @@ def _reference_integral_network(signal, t_start, t_end):
     span = end - start
     blocks = {}
     avg_lap = np.zeros((signal.dims.stacked, signal.dims.stacked))
-    for k, t_k, t_next in signal.segments_between(start, end):
+    for k, t_k, t_next in signal.segments_from(signal.segment_index_at(start), end):
         weight = float((min(end, t_next) - max(start, t_k)) / span)
-        for pair, edge_weight in signal.segment_graph(k).edges.items():
+        graph = signal.graphs[signal.segment_graph_index(k)]
+        for pair, edge_weight in graph.edges.items():
             if pair in blocks:
                 blocks[pair] = blocks[pair] + weight * edge_weight.entries
             else:
@@ -315,7 +323,8 @@ def test_integral_network_matches_the_segment_walk(rng, periodic):
             start, end = _random_span(rng, signal)
             averaged, avg_laplacian = integral_network(signal, start, end)
             blocks, reference = _reference_integral_network(signal, start, end)
-            visits = len(list(signal.segments_between(Fraction(start), Fraction(end))))
+            first = signal.segment_index_at(start)
+            visits = len(list(signal.segments_from(first, Fraction(end))))
             if visits <= signal.partitions:
                 assert np.array_equal(avg_laplacian, reference), (start, end)
                 assert sorted(averaged.edges) == sorted(blocks)
@@ -363,7 +372,9 @@ def _overlapping_segments(signal, start, end):
 
 
 @pytest.mark.parametrize("periodic", [False, True])
-def test_segments_between_matches_a_scan_of_switch_instants(demo_graphs, rng, periodic):
+def test_segments_from_matches_a_scan_of_switch_instants(demo_graphs, rng, periodic):
+    """From the segment active at ``start``, ``segments_from`` yields every
+    segment that overlaps ``[start, end)``."""
     for _ in range(20):
         segments = [
             (int(rng.integers(0, 3)), float(rng.uniform(0.5, 2.0)))
@@ -388,10 +399,13 @@ def test_segments_between_matches_a_scan_of_switch_instants(demo_graphs, rng, pe
             # empty
             (start, start),
         ]
-        for span in spans:
-            assert list(signal.segments_between(*span)) == _overlapping_segments(
-                signal, *span
-            ), span
+        for start, end in spans:
+            walked = (
+                list(signal.segments_from(signal.segment_index_at(start), end))
+                if start < end
+                else []
+            )
+            assert walked == _overlapping_segments(signal, start, end), (start, end)
 
 
 def test_same_instant():
@@ -418,6 +432,43 @@ def test_snap_to_end_accepts_rounding_past_a_finite_end(demo_graphs):
         finite.snap_to_end(0.91, "t_end 0.91")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: integral_network(s, 0.0, math.inf), "span end inf"),
+        (lambda s: integral_network(s, math.nan, 1.0), "span start nan"),
+        (lambda s: integral_network(s, "x", 1.0), "span start 'x'"),
+        (lambda s: s.segment_index_at(math.nan), "time nan"),
+        (lambda s: s.segment_index_at(math.inf), "time inf"),
+        (lambda s: s.segment_index_at(None), "time None"),
+        (
+            lambda s: SwitchingSignal(s.graphs, [(0, math.inf)], 0.5, math.inf),
+            "segment 0 dwell inf",
+        ),
+        (
+            lambda s: SwitchingSignal(s.graphs, [(0, 1.0), (1, "x")], 0.5, 4.0),
+            "segment 1 dwell 'x'",
+        ),
+    ],
+    ids=[
+        "span-end-inf",
+        "span-start-nan",
+        "span-start-text",
+        "time-nan",
+        "time-inf",
+        "time-none",
+        "dwell-inf",
+        "dwell-text",
+    ],
+)
+def test_times_that_are_not_finite_numbers_are_model_errors(demo_signal, call, message):
+    """A time, span end or dwell that is NaN, infinite or not a number is a
+    model error naming it, not a ``ValueError``, ``OverflowError`` or
+    ``TypeError`` from its conversion to an exact ``Fraction``."""
+    with pytest.raises(ModelError, match=f"^{re.escape(message)} is not a finite number$"):
+        call(demo_signal)
+
+
 def test_integral_network_snaps_its_span_end(demo_graphs):
     finite = SwitchingSignal(demo_graphs, THREE_SHORT, 0.1, 1.0)
     _, avg_laplacian = integral_network(finite, 0.0, 0.9)
@@ -433,7 +484,7 @@ def _distinct_dwell_signal(count):
     dims = GraphDimensions(n=80, d=2)
     graphs = []
     for scale in (1.0, 2.0):
-        graph = new_graph(dims)
+        graph = MatrixWeightedGraph(dims)
         for i in range(dims.n - 1):
             graph = set_edge(graph, i, i + 1, [[scale, 0.0], [0.0, 1.0]])
         graphs.append(graph)
