@@ -51,6 +51,9 @@ def _edge(i: int, j: int, weight: list) -> dict:
 
 
 _OK = [1, 0, 0, 1]
+_ZERO = [0, 0, 0, 0]
+_INDEFINITE = [1, 3, 3, 1]  # eigenvalues 4 and -2
+_ASYMMETRIC = [1, 2, 0, 1]
 _HUGE = [1e308, 1e308, 1e308, 1e308]  # eigenvalue 2e308: classified rescaled
 
 # name -> replaced edge lists of the demo's graphs; every list starts with a
@@ -74,6 +77,30 @@ FAULTS: dict[str, dict[str, list[dict]]] = {
     "overflowing-spectrum": {"G1": [_edge(1, 2, _OK), _edge(2, 3, _HUGE)]},
     "overflowing-spectrum-then-zero": {
         "G1": [_edge(1, 2, _HUGE), _edge(2, 3, [0, 0, 0, 0])]
+    },
+    # a fault of one kind before a fault of another, in either order
+    "indefinite-then-asymmetric": {
+        "G1": [_edge(1, 2, _OK), _edge(2, 3, _INDEFINITE), _edge(3, 4, _ASYMMETRIC)]
+    },
+    "asymmetric-then-indefinite": {
+        "G1": [_edge(1, 2, _OK), _edge(2, 3, _ASYMMETRIC), _edge(3, 4, _INDEFINITE)]
+    },
+    "self-loop-then-asymmetric": {
+        "G1": [_edge(1, 2, _OK), _edge(3, 3, _OK), _edge(2, 3, _ASYMMETRIC)]
+    },
+    "asymmetric-then-self-loop": {
+        "G1": [_edge(1, 2, _OK), _edge(2, 3, _ASYMMETRIC), _edge(3, 3, _OK)]
+    },
+    "zero-then-asymmetric-then-index": {
+        "G1": [
+            _edge(1, 2, _OK),
+            _edge(2, 3, _ZERO),
+            _edge(3, 4, _ASYMMETRIC),
+            _edge(3, 9, _OK),
+        ]
+    },
+    "overflowing-spectrum-then-asymmetric": {
+        "G1": [_edge(1, 2, _HUGE), _edge(2, 3, _ASYMMETRIC)]
     },
 }
 

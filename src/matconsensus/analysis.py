@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ModelError
+from .errors import ModelError, as_float, as_index
 from .graphs import Edge, GraphDimensions, MatrixWeightedGraph
 from .spectral import (
     Definiteness,
@@ -59,6 +59,7 @@ def transition_matrix(
     Requires ``0 <= start < stop``; for finite signals ``stop`` must not
     exceed the segment count.
     """
+    start, stop = as_index(start, "start"), as_index(stop, "stop")
     if start >= stop:
         raise ModelError(f"need start < stop, got ({start}, {stop})")
     product = signal.segment_exponential(start)
@@ -446,6 +447,7 @@ def necessary_condition_scan(
     horizon tiles into closed windows the necessary condition holds, which
     alone cannot certify consensus: the verdict is INCONCLUSIVE.
     """
+    horizon = as_index(horizon, "horizon")
     if horizon < 1:
         raise ModelError(f"horizon must be at least 1, got {horizon}")
     if not signal.periodic and horizon > signal.partitions:
@@ -478,15 +480,15 @@ def sufficient_condition_certificate(
     Otherwise the verdict is INCONCLUSIVE, reporting the windows with their
     factors.
     """
+    q_threshold = as_float(q_threshold, "threshold", finite=False)
     if not (0.0 < q_threshold < 1.0):
         raise ModelError(
             f"threshold must lie strictly inside (0, 1), got {q_threshold}"
         )
-    exhausted = next(
-        (c for c in scan.certificates if isinstance(c, HorizonExhausted)), None
-    )
+    certificates = scan.certificates if isinstance(scan, Verdict) else ()
+    exhausted = next((c for c in certificates if isinstance(c, HorizonExhausted)), None)
     if exhausted is None:
-        raise TypeError("scan must be a verdict of necessary_condition_scan")
+        raise ModelError("scan must be a verdict of necessary_condition_scan")
     measured: list[Window] = []
     uniform = scan.decision is Decision.INCONCLUSIVE
     # a window's transition matrix is the product of the exponentials of

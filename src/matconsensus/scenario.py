@@ -40,13 +40,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ModelError
-from .graphs import (
-    GraphDimensions,
-    MatrixWeightedGraph,
-    WeightMatrix,
-    checked_weight,
-    checked_weights,
-)
+from .graphs import GraphDimensions, MatrixWeightedGraph, checked_weights
 from .switching import SwitchingSignal
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -166,12 +160,11 @@ def _parse_graph(
     """One graph's edge list.  Each edge is checked in file order for its
     indices, a duplicate, its weight's parse, then its weight's checks, so
     the first bad edge is the one reported; the weight checks of the edges
-    before the first structural fault run together, in
-    :func:`checked_weights`."""
+    before the first structural fault run together, in one
+    :func:`checked_weights` call, whose first error is raised."""
     n = dims.n
     edges_raw = _expect(edges_raw, list, gpath, "a list of edges")
-    parsed: list[tuple[str, int, int, NDArray[np.float64]]] = []
-    pairs: set[tuple[int, int]] = set()
+    parsed: dict[tuple[int, int], tuple[int, int, NDArray[np.float64]]] = {}
     fault: ScenarioError | None = None
     try:
         for idx, edge_raw in enumerate(edges_raw):
@@ -185,27 +178,21 @@ def _parse_graph(
                     epath, f"node indices must lie in 1..{n}, got ({i}, {j})"
                 )
             pair = (min(i, j) - 1, max(i, j) - 1)
-            if pair in pairs:
+            if pair in parsed:
                 raise ScenarioError(epath, f"duplicate edge ({i}, {j})")
-            pairs.add(pair)
             weight = _parse_weight(
                 _get(edge_raw, "weight", epath), dims.d, f"{epath}.weight"
             )
-            parsed.append((epath, i - 1, j - 1, weight))
+            parsed[pair] = (i - 1, j - 1, weight)
     except ScenarioError as error:
         fault = error  # raised once the edges before it pass their weight checks
-    edges: dict[tuple[int, int], WeightMatrix] = {}
-    checked = checked_weights([edge[1:] for edge in parsed], tolerances)
-    for (epath, i, j, weight), result in zip(parsed, checked):
-        if result is None:
-            try:
-                result = checked_weight(dims, i, j, weight, tolerances)
-            except ModelError as error:
-                raise ModelError(f"{epath}: {error}") from error
-        edges[min(i, j), max(i, j)] = result
+    checked = checked_weights(dims, list(parsed.values()), tolerances)
+    for idx, result in enumerate(checked):
+        if isinstance(result, ModelError):
+            raise ModelError(f"{gpath}[{idx}]: {result}") from result
     if fault is not None:
         raise fault
-    return MatrixWeightedGraph(dims, edges)
+    return MatrixWeightedGraph(dims, dict(zip(parsed, checked)))
 
 
 def parse_scenario(data: dict) -> Scenario:

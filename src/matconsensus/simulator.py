@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ModelError
+from .errors import ModelError, as_float
 from .graphs import GraphDimensions
 from .switching import SwitchingSignal, same_instant
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -106,17 +106,23 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _check_grid(signal: SwitchingSignal, t_end: float, step: float, what: str) -> None:
-    """Reject a ``t_end`` that is not positive and finite or lies past the end
-    of a finite signal, then a step (named ``what``) that is not positive or
-    so fine that the number of steps up to ``t_end`` overflows."""
+def _check_grid(
+    signal: SwitchingSignal, t_end: float, step: float, what: str
+) -> tuple[float, float]:
+    """``t_end`` and the step as floats.  Reject a ``t_end`` that is not a
+    positive finite number or is past the end of a finite signal, then a step
+    (named ``what``) that is not a positive number or is so fine that the
+    number of steps up to ``t_end`` overflows."""
+    t_end = as_float(t_end, "t_end", finite=False)
     if not 0 < t_end < math.inf:
         raise ModelError(f"t_end must be positive and finite, got {t_end}")
     signal.snap_to_end(t_end, f"t_end {t_end}")
+    step = as_float(step, what, finite=False)
     if not step > 0:
         raise ModelError(f"{what} must be positive, got {step}")
     if t_end / step == math.inf:
         raise ModelError(f"{what} {step} is too fine to count up to t_end {t_end}")
+    return t_end, step
 
 
 def _exact_states(
@@ -274,7 +280,7 @@ def simulate(
     beyond ``tolerances.mean_drift``, or whose ``V`` rises beyond
     ``tolerances.monotonicity`` raises :class:`ModelError`.
     """
-    _check_grid(signal, t_end, sample_dt, "sample_dt")
+    t_end, sample_dt = _check_grid(signal, t_end, sample_dt, "sample_dt")
     _allocate_nodes(  # the grid's states must fit before the grid is built
         signal, t_end, sample_dt, f"the sample grid of sample_dt {sample_dt!r} up to "
         f"t_end {t_end!r} has up to {{rows}} samples, more states than fit in memory"
@@ -329,11 +335,11 @@ def _reference_nodes(
     t_end: float,
     step: float,
     first: int = 0,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The checks ``rk4_reference`` makes before any step: the validated,
-    stacked ``x0`` and an uninitialised array bounding the nodes from
-    segment ``first`` up to ``t_end``."""
-    _check_grid(signal, t_end, step, "step")
+) -> tuple[float, float, NDArray[np.float64], NDArray[np.float64]]:
+    """The checks ``rk4_reference`` makes before any step: ``t_end`` and
+    ``step`` as floats, the validated, stacked ``x0`` and an uninitialised
+    array bounding the nodes from segment ``first`` up to ``t_end``."""
+    t_end, step = _check_grid(signal, t_end, step, "step")
     state = _stacked_state(x0, signal.dims)
     signal.segment_graph_index(first)  # ModelError outside the signal
     if not signal.switch_time_exact(first) < t_end:
@@ -342,7 +348,7 @@ def _reference_nodes(
         signal, t_end, step, f"RK4 step {step!r} up to t_end {t_end} has up to "
         "{rows} nodes, more reference states than fit in memory", first
     )
-    return state, nodes
+    return t_end, step, state, nodes
 
 
 def rk4_reference(
@@ -374,7 +380,7 @@ def rk4_reference(
     exceeds ``RK4_STABILITY_LIMIT``: the reference would diverge on its own
     there.
     """
-    state, states = _reference_nodes(signal, x0, t_end, step, first)
+    t_end, step, state, states = _reference_nodes(signal, x0, t_end, step, first)
     times = np.empty(len(states))
     times[0] = signal.switch_time(first)
     states[0] = state
@@ -422,7 +428,7 @@ def max_oracle_deviation(
     one chunk's nodes are held.  A NaN gap anywhere makes the result NaN.
     """
     # the count comes first; the whole run's array is dropped unused
-    x0 = _reference_nodes(signal, x0, t_end, step)[0]
+    t_end, step, x0 = _reference_nodes(signal, x0, t_end, step)[:3]
     per_chunk = (
         max(1, math.ceil(Fraction(step) * _BLOCK_ROWS / Fraction(signal.alpha)))
         if step < math.inf

@@ -47,34 +47,42 @@ class NullSpaceReport:
     equals_consensus: bool
 
 
-def require_symmetric(
-    matrix: NDArray[np.float64], tol: float, *, what: str = "matrix"
-) -> None:
-    """Raise :class:`ModelError` unless ``matrix`` is square, finite and
-    symmetric within ``tol`` relative to its magnitude.
-
-    A stack of shape ``(k, d, d)`` is checked matrix by matrix, and the
-    first that fails is named ``what`` followed by its index."""
+def require_symmetric(matrix: NDArray[np.float64], tol: float) -> None:
+    """Raise :class:`ModelError` unless ``matrix``, or each matrix of a
+    ``(k, d, d)`` stack, is square and has no :func:`symmetry_faults`; the
+    first matrix of a stack that has one is named by its index."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
-        raise ModelError(f"{what} must be square, got shape {matrix.shape}")
+        raise ModelError(f"matrix must be square, got shape {matrix.shape}")
     stack = matrix[None] if matrix.ndim == 2 else matrix
-    magnitudes = np.max(np.abs(stack), axis=(1, 2), initial=0.0).tolist()
+    for index, fault in enumerate(symmetry_faults(stack, tol)):
+        if fault is not None:
+            name = "matrix" if matrix.ndim == 2 else f"matrix {index}"
+            raise ModelError(f"{name} {fault}")
+
+
+def symmetry_faults(stack: NDArray[np.float64], tol: float) -> list[str | None]:
+    """For each matrix of a ``(k, d, d)`` stack, None if it is finite and
+    symmetric within ``tol`` relative to its magnitude, else its fault,
+    worded to follow the matrix's name; only a failing matrix is looked at
+    alone."""
     # the largest magnitude is NaN or inf exactly when some entry is; such a
     # matrix fails on that, whatever M - M^T comes to, and M - M^T beyond
     # the float range is an infinite defect
     with np.errstate(over="ignore", invalid="ignore"):
+        magnitudes = np.max(np.abs(stack), axis=(1, 2), initial=0.0)
         asymmetry = np.abs(stack - np.swapaxes(stack, 1, 2))
-    defects = np.max(asymmetry, axis=(1, 2), initial=0.0).tolist()
-    for index, (magnitude, defect) in enumerate(zip(magnitudes, defects)):
-        if math.isfinite(magnitude) and not defect > tol * max(1.0, magnitude):
-            continue
-        name = what if matrix.ndim == 2 else f"{what} {index}"
-        if not math.isfinite(magnitude):
-            raise ModelError(
-                f"{name} has non-finite entries: NaN, or beyond the float range"
-            )
-        raise ModelError(f"{name} is not symmetric: max|M - M^T| = {defect:.3e}")
+        defects = np.max(asymmetry, axis=(1, 2), initial=0.0)
+        limits = tol * np.maximum(1.0, magnitudes)
+        failed = ~np.isfinite(magnitudes) | (defects > limits)
+    faults: list[str | None] = [None] * len(stack)
+    for index in np.flatnonzero(failed).tolist():
+        faults[index] = (
+            f"is not symmetric: max|M - M^T| = {float(defects[index]):.3e}"
+            if math.isfinite(magnitudes[index])
+            else "has non-finite entries: NaN, or beyond the float range"
+        )
+    return faults
 
 
 def symmetric_eigen(

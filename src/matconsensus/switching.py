@@ -16,7 +16,6 @@ network) has no rounding drift, while all matrix arithmetic stays in floats.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -24,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ModelError
+from .errors import ModelError, as_float, as_index
 from .graphs import Edge, GraphDimensions, MatrixWeightedGraph, WeightMatrix, laplacian
 from .spectral import (
     Definiteness,
@@ -44,17 +43,6 @@ EXPONENTIAL_CACHE_BYTES = 16 * 2**20
 def same_instant(a: float | Fraction, b: float | Fraction) -> bool:
     """Whether two times differ by no more than rounding."""
     return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
-
-
-def _finite(t: object, what: str) -> float:
-    """``t`` as a float; raise :class:`ModelError` naming ``what`` unless it
-    is a finite number."""
-    try:
-        if math.isfinite(value := float(t)):
-            return value
-    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int
-        pass
-    raise ModelError(f"{what} {t!r} is not a finite number")
 
 
 class SwitchingSignal:
@@ -96,21 +84,20 @@ class SwitchingSignal:
                 raise ModelError(
                     f"graph {index} has dimensions {graph.dims}, expected {dims}"
                 )
+        alpha = as_float(alpha, "alpha", finite=False)
+        beta = as_float(beta, "beta", finite=False)
         if not (0 < alpha <= beta):
             raise ModelError(
                 f"dwell bounds must satisfy 0 < alpha <= beta, "
                 f"got alpha={alpha}, beta={beta}"
             )
-        indexed: list[tuple[int, float]] = []
-        for k, (g, dt) in enumerate(segments):
-            try:
-                g = operator.index(g)
-            except TypeError:
-                raise ModelError(
-                    f"segment {k} graph index {g!r} is not an integer"
-                ) from None
-            indexed.append((g, _finite(dt, f"segment {k} dwell")))
-        segments = tuple(indexed)
+        segments = tuple(
+            (
+                as_index(g, f"segment {k} graph index"),
+                as_float(dt, f"segment {k} dwell"),
+            )
+            for k, (g, dt) in enumerate(segments)
+        )
         if not segments:
             raise ModelError("a switching signal needs at least one segment")
         for k, (g, dt) in enumerate(segments):
@@ -132,8 +119,8 @@ class SwitchingSignal:
         self.dims: GraphDimensions = dims
         self.graphs = graphs
         self.segments = segments
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.alpha = alpha
+        self.beta = beta
         self.periodic = bool(periodic)
 
         times = [Fraction(0)]
@@ -166,6 +153,7 @@ class SwitchingSignal:
 
     def _locate(self, k: int) -> tuple[int, int]:
         """``(cycle, index)`` of global segment ``k`` in the segment list."""
+        k = as_index(k, "segment index")
         m = len(self.segments)
         if k < 0 or (k >= m and not self.periodic):
             raise ModelError(
@@ -176,6 +164,7 @@ class SwitchingSignal:
     def switch_time_exact(self, k: int) -> Fraction:
         """Exact switch instant ``t_k``, the start of segment ``k``; a finite
         signal also has ``t_m``, its end."""
+        k = as_index(k, "segment index")
         if k == len(self.segments) and not self.periodic:
             return self._times[k]
         cycle, index = self._locate(k)
@@ -195,7 +184,7 @@ class SwitchingSignal:
 
     def segment_index_at(self, t: float | Fraction) -> int:
         """Index of the segment active at time ``t`` (``t_k <= t < t_k+1``)."""
-        tf = t if isinstance(t, Fraction) else Fraction(_finite(t, "time"))
+        tf = t if isinstance(t, Fraction) else Fraction(as_float(t, "time"))
         if tf < 0 or (not self.periodic and tf >= self.period_exact):
             raise ModelError(
                 f"time {t} outside [0, {self.total_duration})"
@@ -289,8 +278,8 @@ def integral_network(
     sum, and a recurring position's weight is rounded once.  The averaged
     blocks are classified together, in one stacked call.
     """
-    start = Fraction(_finite(t_start, "span start"))
-    end = Fraction(_finite(t_end, "span end"))
+    start = Fraction(as_float(t_start, "span start"))
+    end = Fraction(as_float(t_end, "span end"))
     if start < 0:
         raise ModelError(f"span start {t_start} must be non-negative")
     if end <= start:

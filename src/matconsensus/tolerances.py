@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import ModelError
+from .errors import ModelError, as_float
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if not 0.0 <= value < math.inf:
+            object.__setattr__(self, name, as_float(value, name, finite=False))
+            if not 0.0 <= getattr(self, name) < math.inf:
                 raise ModelError(f"{name} must be finite and >= 0, got {value!r}")
 
     def replace(self, **overrides: float) -> "Tolerances":

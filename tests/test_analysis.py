@@ -341,10 +341,13 @@ def test_sufficient_certificate_measures_the_scan_windows(demo_signal):
 
 
 def test_sufficient_certificate_requires_a_scan_verdict(demo_signal):
-    with pytest.raises(TypeError):
-        sufficient_condition_certificate(
-            demo_signal, periodic_consensus_verdict(demo_signal), 0.99
-        )
+    """A verdict without the scan's windows, or no verdict at all, is an
+    input violation, refused with ``ModelError``."""
+    for scan in (periodic_consensus_verdict(demo_signal), None):
+        with pytest.raises(
+            ModelError, match="^scan must be a verdict of necessary_condition_scan$"
+        ):
+            sufficient_condition_certificate(demo_signal, scan, 0.99)
 
 
 def _scan_result(run):

@@ -90,6 +90,18 @@ def test_set_edge_rejects_non_integer_indices():
     assert list(set_edge(graph, np.int64(1), 0, [[1.0]]).edges) == [(0, 1)]
 
 
+@pytest.mark.parametrize(
+    "weight", [[[1.0, 2.0], [3.0]], [["a"]], None], ids=["ragged", "text", "none"]
+)
+def test_set_edge_refuses_a_weight_that_is_not_an_array_of_numbers(dims4x2, weight):
+    """A ragged or non-numeric weight is refused by the weight check, naming
+    the expected shape, not by numpy's conversion."""
+    graph = MatrixWeightedGraph(dims4x2)
+    with pytest.raises(ModelError, match=r"^weight must be 2x2") as info:
+        set_edge(graph, 0, 1, weight)
+    assert type(info.value) is ModelError
+
+
 def test_set_edge_symmetrizes_rounding_noise(dims4x2):
     noisy = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
     graph = set_edge(MatrixWeightedGraph(dims4x2), 0, 1, noisy)

@@ -10,12 +10,15 @@ import pytest
 
 from matconsensus import (
     Definiteness,
+    GraphDimensions,
+    MatrixWeightedGraph,
     ModelError,
     ScenarioError,
     Tolerances,
     load_scenario,
     parse_scenario,
     scenario_to_dict,
+    set_edge,
 )
 from conftest import LAP_A, X0
 
@@ -253,6 +256,11 @@ _ZERO_AT_1 = (
     "error: graphs.G1[1]: weight for edge (1, 2) is zero within tolerance; "
     "omit the edge instead\n"
 )
+_INDEFINITE_AT_1 = "error: graphs.G1[1]: weight for edge (1, 2) is indefinite\n"
+_ASYMMETRIC_AT_1 = (
+    "error: graphs.G1[1]: weight for edge (1, 2) is not symmetric: "
+    "max|M - M^T| = 2.000e+00\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -316,6 +324,50 @@ _ZERO_AT_1 = (
             {"G1": [_edge(1, 2, _OK), _edge(2, 3, _HUGE)]},
             0, "", id="overflowing-spectrum",
         ),
+        pytest.param(
+            {
+                "G1": [
+                    _edge(1, 2, _OK),
+                    _edge(2, 3, _INDEFINITE),
+                    _edge(3, 4, _ASYMMETRIC),
+                ]
+            },
+            2, _INDEFINITE_AT_1, id="indefinite-then-asymmetric",
+        ),
+        pytest.param(
+            {
+                "G1": [
+                    _edge(1, 2, _OK),
+                    _edge(2, 3, _ASYMMETRIC),
+                    _edge(3, 4, _INDEFINITE),
+                ]
+            },
+            2, _ASYMMETRIC_AT_1, id="asymmetric-then-indefinite",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(3, 3, _OK), _edge(2, 3, _ASYMMETRIC)]},
+            2, "error: graphs.G1[1]: self-loop at node 2 is not allowed\n",
+            id="self-loop-then-asymmetric",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _OK), _edge(2, 3, _ASYMMETRIC), _edge(3, 3, _OK)]},
+            2, _ASYMMETRIC_AT_1, id="asymmetric-then-self-loop",
+        ),
+        pytest.param(
+            {
+                "G1": [
+                    _edge(1, 2, _OK),
+                    _edge(2, 3, _ZERO),
+                    _edge(3, 4, _ASYMMETRIC),
+                    _edge(3, 9, _OK),
+                ]
+            },
+            2, _ZERO_AT_1, id="zero-then-asymmetric-then-index",
+        ),
+        pytest.param(
+            {"G1": [_edge(1, 2, _HUGE), _edge(2, 3, _ASYMMETRIC)]},
+            2, _ASYMMETRIC_AT_1, id="overflowing-spectrum-then-asymmetric",
+        ),
     ],
 )
 def test_first_bad_edge_in_file_order_is_reported(
@@ -333,3 +385,60 @@ def test_first_bad_edge_in_file_order_is_reported(
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) == code
     assert capsys.readouterr().err == stderr
+
+
+def _random_weight_of_kind(rng, kind, d):
+    """A random ``d x d`` weight that is PD, PSD, zero, indefinite or
+    asymmetric, as a nested list."""
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    spectrum = {
+        "pd": rng.uniform(0.1, 3.0, size=d),
+        "psd": np.r_[0.0, rng.uniform(0.1, 3.0, size=d - 1)],
+        "zero": np.zeros(d),
+        "indefinite": np.r_[-rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0, size=d - 1)],
+        "asymmetric": rng.uniform(0.1, 3.0, size=d),
+    }[kind]
+    weight = (basis * spectrum) @ basis.T
+    if kind == "asymmetric":
+        weight[0, 1] += 0.5
+    return weight.tolist()
+
+
+def test_set_edge_and_the_loader_share_one_weight_check(rng):
+    """Seeded random weights of every class give the same stored bytes and
+    class, or the same message, through ``set_edge`` one edge at a time as
+    through ``parse_scenario``, which checks a graph's weights together and
+    reports its first bad edge."""
+    kinds = ("pd", "psd", "zero", "indefinite", "asymmetric")
+    outcomes = set()
+    for trial in range(40):
+        n, d = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        # mostly valid weights, so that a graph's first fault comes late
+        picks = rng.choice(5, size=n - 1, p=[0.45, 0.35, 0.07, 0.07, 0.06])
+        weights = [_random_weight_of_kind(rng, kinds[pick], d) for pick in picks]
+        data = minimal_scenario()
+        data["dimensions"] = {"n": n, "d": d}
+        data["graphs"]["pair"] = [
+            {"i": k + 1, "j": k + 2, "weight": weight}
+            for k, weight in enumerate(weights)
+        ]
+        graph, expected = MatrixWeightedGraph(GraphDimensions(n, d)), None
+        for k, weight in enumerate(weights):
+            try:
+                graph = set_edge(graph, k, k + 1, weight)
+            except ModelError as error:
+                expected = f"graphs.pair[{k}]: {error}"
+                break
+        if expected is not None:
+            with pytest.raises(ModelError) as info:
+                parse_scenario(data)
+            assert str(info.value) == expected, trial
+            outcomes.add("refused")
+            continue
+        outcomes.add("loaded")
+        loaded = parse_scenario(data).graphs["pair"]
+        assert list(loaded.edges) == list(graph.edges)
+        for pair, weight in graph.edges.items():
+            assert loaded.edges[pair].entries.tobytes() == weight.entries.tobytes()
+            assert loaded.edges[pair].definiteness is weight.definiteness
+    assert outcomes == {"refused", "loaded"}

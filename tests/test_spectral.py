@@ -145,11 +145,11 @@ def test_stacked_symmetry_check_names_the_first_failure():
     stack = np.array([np.eye(2), [[0.0, 1e308], [-1e308, 0.0]], [[np.nan, 0], [0, 1]]])
     with np.errstate(all="raise"):  # M - M^T overflows: an infinite defect
         with pytest.raises(
-            ModelError, match=r"^weight 1 is not symmetric: max\|M - M\^T\| = inf$"
+            ModelError, match=r"^matrix 1 is not symmetric: max\|M - M\^T\| = inf$"
         ):
-            require_symmetric(stack, 1e-12, what="weight")
-        with pytest.raises(ModelError, match=r"^weight has non-finite entries"):
-            require_symmetric(stack[2], 1e-12, what="weight")
+            require_symmetric(stack, 1e-12)
+        with pytest.raises(ModelError, match=r"^matrix has non-finite entries"):
+            require_symmetric(stack[2], 1e-12)
         with pytest.raises(ModelError, match=r"^matrix is not symmetric: .* = inf$"):
             require_symmetric(stack[1], 1e-12)
     require_symmetric(stack[:1], 1e-12)
