@@ -19,6 +19,9 @@ stderr and the CSV written by ``--out`` must match.  The list covers:
 * the seed-0 benchmark scenarios ``periodic-mid``, ``finite-long`` and
   ``periodic-large``: ``validate``, ``analyze``, ``simulate``, and
   ``simulate --oracle`` up to the benchmark's oracle ``--t-end``;
+* ``simulate`` of the seed-1 ``periodic-mid``, of the demo from a state
+  holding both ``-0.0`` and ``0.0``, and of the demo long past consensus
+  (``--t-end 600 --sample-dt 0.01``), whose rows repeat a few values;
 * the demo as a finite signal through ``simulate --oracle`` up to its end,
   to mid-segment and past its end, and a finite 3,000-segment variant of dwell 0.002
   (two oracle steps a segment);
@@ -146,7 +149,22 @@ def write_scenarios(directory: Path) -> list[tuple[str, list[str]]]:
                 + ["--t-end", t_oracle],
             ),
         ]
+    seed_1 = str(write_scenario("periodic-mid", 1, directory / "seed-1"))
+    invocations += [
+        ("periodic-mid seed 1 simulate", ["simulate", seed_1, "--out", "{csv}"]),
+        (
+            "demo simulate --t-end 600 --sample-dt 0.01 (converged)",
+            [*simulate, "--t-end", "600", "--sample-dt", "0.01"],
+        ),
+    ]
     base = json.loads(DEMO.read_text())
+    zeros = copy.deepcopy(base)
+    zeros["initial_state"] = [[-0.0, 0.0], [0.0, -0.0], [-0.0, 1.0], [0.0, -1.0]]
+    path = directory / "signed-zeros.json"
+    path.write_text(json.dumps(zeros))
+    invocations.append(
+        ("signed-zeros demo simulate", ["simulate", str(path), "--out", "{csv}"])
+    )
     finite = copy.deepcopy(base)
     finite["signal"]["periodic"] = False
     short = copy.deepcopy(finite)

@@ -40,6 +40,9 @@ from .switching import integral_network
 DEFAULT_SAMPLE_DT = 0.1
 DEFAULT_Q_THRESHOLD = 0.99
 DEFAULT_ORACLE_STEP = 1e-3
+# The CSV writer's cache of cell strings is emptied once it holds more than
+# this many bit patterns, so its memory stays bounded whatever the run.
+_CSV_CACHE_CELLS = 4096
 
 
 class _UsageError(Exception):
@@ -404,26 +407,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _write_csv(stream: Any, trajectory: Any) -> None:
-    """One line per (sample, node), written a sample at a time.  Every value
-    is formatted once, by ``repr`` of the Python float ``tolist`` gives,
-    which is the ``repr`` of the numpy float.  States are converted a row at
-    a time: Python floats of the whole array would take four times its
-    memory."""
+    """One line per (sample, node), written a sample at a time from one
+    line template.  Each cell is ``repr`` of the value as a Python float.  A
+    converged run repeats a few values, so each state cell is looked up by
+    its float64 bit pattern (not by value: ``-0.0 == 0.0`` and ``nan !=
+    nan``) in a cache of the strings already formatted, and ``repr`` runs
+    only on a miss.  The cache is emptied once it holds more than
+    ``_CSV_CACHE_CELLS`` entries, and times, ``V`` and states are converted
+    a sample at a time, so the writer's memory does not grow with the run."""
     n, d = trajectory.dims.n, trajectory.dims.d
     header = ",".join(["t", "node"] + [f"dim_{k + 1}" for k in range(d)] + ["V"])
     stream.write(header + "\n")
-    labels = [f",{node + 1}," for node in range(n)]
-    samples = zip(
-        trajectory.times.tolist(), trajectory.lyapunov.tolist(), trajectory.states
-    )
-    for t, v, row in samples:
-        cells = list(map(repr, row.tolist()))
-        t_cell, v_cell = repr(t), f",{v!r}\n"
-        lines = [
-            t_cell + label + ",".join(cells[node * d : (node + 1) * d]) + v_cell
-            for node, label in enumerate(labels)
-        ]
-        stream.write("".join(lines))
+    # ``{0}`` and ``{1}`` take the sample's t and V cells, ``%s`` its states
+    template = "".join(f"{{0}},{node + 1}" + ",%s" * d + ",{1}\n" for node in range(n))
+    cache: dict[int, str] = {}
+    for t, v, row in zip(trajectory.times, trajectory.lyapunov, trajectory.states):
+        keys = row.view(np.int64).tolist()
+        cells = list(map(cache.get, keys))
+        if None in cells:
+            if len(cache) > _CSV_CACHE_CELLS:
+                cache.clear()
+            cells = [
+                cell or cache.get(key) or cache.setdefault(key, repr(value))
+                for cell, key, value in zip(cells, keys, row.tolist())
+            ]
+        stream.write(template.format(repr(float(t)), repr(float(v))) % tuple(cells))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

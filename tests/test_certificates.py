@@ -160,7 +160,7 @@ def test_audit_of_the_demo_family(demo_graphs, power):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 2 (the scale-free decision kernel): from 1e8 on, "
+    reason="ROADMAP item 1 (the scale-free decision kernel): from 1e8 on, "
     "the null-space cutoff, relative to the stiff edge, swallows the weak "
     "edges' eigenvalues; the scan's witness is pulled by edge (1,2) and a "
     "positive spanning tree stands beside a periodic NO_CONSENSUS",

@@ -2,6 +2,7 @@ import collections
 import io
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from matconsensus import (
     load_scenario,
     necessary_condition_scan,
     periodic_consensus_verdict,
+    simulate,
 )
+from matconsensus import cli
 from matconsensus.cli import _write_csv, main
 from conftest import FIXTURE_DIR
 
@@ -511,3 +514,118 @@ def test_csv_writer_matches_the_per_cell_reference(n, d):
     _write_csv(actual, trajectory)
     assert actual.getvalue() == expected.getvalue()
     assert "-0.0" in actual.getvalue() and "5e-324" in actual.getvalue()
+
+
+def _trajectory_of(states, d=1):
+    """A trajectory with the given state rows, sampled at t = 0, 1, ..."""
+    states = np.array(states, dtype=np.float64)
+    dims = GraphDimensions(n=states.shape[1] // d, d=d)
+    return Trajectory(
+        dims=dims,
+        times=np.arange(len(states), dtype=np.float64),
+        states=states,
+        consensus_point=np.zeros(dims.stacked),
+    )
+
+
+def _written_as_the_reference(trajectory):
+    expected, actual = io.StringIO(), io.StringIO()
+    _per_cell_csv(expected, trajectory)
+    _write_csv(actual, trajectory)
+    assert actual.getvalue() == expected.getvalue()
+    return actual.getvalue()
+
+
+def _counting_repr(monkeypatch):
+    """Count the writer's ``repr`` calls."""
+    calls = collections.Counter()
+
+    def counting(value):
+        calls["repr"] += 1
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counting, raising=False)
+    return calls
+
+
+# a quiet NaN, one with a payload and a negative one
+_NAN, _PAYLOAD_NAN, _NEGATIVE_NAN = np.array(
+    [0x7FF8000000000000, 0x7FF8000000000001, -(2**51)], np.int64
+).view(np.float64)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, -0.0]],
+        [[-0.0, 0.0]],
+        [[0.0, 1.0], [-0.0, 1.0]],
+        [[-0.0, 1.0], [1.0, 0.0]],
+        [
+            [_NAN, np.inf, -np.inf, 1.0],
+            [_PAYLOAD_NAN, -np.inf, np.inf, _NAN],
+            [_NEGATIVE_NAN, _NAN, 1.0, np.inf],
+        ],
+    ],
+)
+def test_csv_writer_keys_its_cache_on_bits(rows):
+    """``-0.0 == 0.0`` and ``nan != nan``: a cache keyed on values would
+    write whichever zero came first for both.  ``Trajectory`` is public, so
+    non-finite states reach the writer; every NaN is written ``nan``."""
+    lines = _written_as_the_reference(_trajectory_of(rows)).splitlines()[1:]
+    cells = [line.split(",")[2] for line in lines]
+    assert cells == [repr(float(value)) for row in rows for value in row]
+
+
+def test_csv_writer_survives_emptying_its_cache(monkeypatch):
+    """More distinct values than the cache holds, then rows that repeat
+    values from before it was emptied, some mixed with new values."""
+    rng = np.random.default_rng(3)
+    distinct = rng.normal(size=(2 * cli._CSV_CACHE_CELLS // 9 + 1, 9))
+    repeated = distinct[:50].copy()
+    repeated[::7, 4] = rng.normal(size=len(repeated[::7]))
+    states = np.vstack([distinct, repeated, distinct[-20:], distinct[:20]])
+    calls = _counting_repr(monkeypatch)
+    _written_as_the_reference(_trajectory_of(states, d=3))
+    # values of the first rows were formatted again: the cache was emptied
+    state_reprs = calls["repr"] - 2 * len(states)
+    assert state_reprs > len(np.unique(states.view(np.int64)))
+
+
+def test_csv_writer_formats_a_converged_run_from_its_cache(monkeypatch):
+    """Once the demo is at consensus its cells repeat a few bit patterns, and
+    those rows are written from the cache."""
+    scenario = load_scenario(FIXTURE_DIR / "four_agent_periodic.json")
+    trajectory = simulate(scenario.signal, scenario.initial_state, 600.0, 0.5)
+    late = trajectory.states[len(trajectory.states) // 2 :]
+    assert len(np.unique(late.view(np.int64))) < late.size / 4
+    calls = _counting_repr(monkeypatch)
+    _written_as_the_reference(trajectory)
+    state_reprs = calls["repr"] - 2 * len(trajectory.states)
+    assert state_reprs == len(np.unique(trajectory.states.view(np.int64)))
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def _csv_writer_peak(rows):
+    """The writer's traced peak on ``rows`` samples of 30 distinct values."""
+    states = np.arange(rows * 30, dtype=np.float64).reshape(rows, 30) * np.pi
+    trajectory = _trajectory_of(states, d=3)
+    trajectory.lyapunov  # computed and kept before the writer runs, as in ``simulate``
+    tracemalloc.start()
+    try:
+        _write_csv(_Discard(), trajectory)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_is_bounded():
+    """Every value distinct: the cache is emptied as it fills, so the peak
+    stays under a fixed bound and does not grow with the run's length."""
+    short, long = _csv_writer_peak(1000), _csv_writer_peak(2000)
+    assert short <= 2**20, short
+    assert long <= short + 16 * 1024, (short, long)
