@@ -18,7 +18,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from .analysis import (
-    HorizonExhausted,
     NullSpaceMatch,
     NullSpaceObstruction,
     PositiveSpanningTree,
@@ -211,13 +210,11 @@ def _certificate_to_dict(certificate: Any) -> dict[str, Any]:
             "threshold": certificate.threshold,
             "windows": [_window_to_dict(w) for w in certificate.windows],
         }
-    if isinstance(certificate, HorizonExhausted):
-        return {
-            "type": "horizon_exhausted",
-            "horizon": certificate.horizon,
-            "windows": [_window_to_dict(w) for w in certificate.windows],
-        }
-    raise TypeError(f"unknown certificate {certificate!r}")
+    return {  # HorizonExhausted
+        "type": "horizon_exhausted",
+        "horizon": certificate.horizon,
+        "windows": [_window_to_dict(w) for w in certificate.windows],
+    }
 
 
 def _verdict_to_dict(verdict: Verdict) -> dict[str, Any]:

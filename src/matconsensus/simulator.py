@@ -75,13 +75,19 @@ class Trajectory:
 
     ``states[i]`` is the stacked network state at ``times[i]``;
     ``consensus_point`` is the average-consensus state of the initial
-    condition, the limit the dynamics should approach.
+    condition, the limit the dynamics should approach.  The three arrays
+    are held as float64, converted on construction where they are not.
     """
 
     dims: GraphDimensions
     times: NDArray[np.float64]
     states: NDArray[np.float64]
     consensus_point: NDArray[np.float64]
+
+    def __post_init__(self) -> None:
+        for name in ("times", "states", "consensus_point"):
+            array = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, array)
 
     @cached_property
     def lyapunov(self) -> NDArray[np.float64]:

@@ -1,5 +1,5 @@
-"""Symmetric-matrix numerics: eigendecompositions, definiteness classes,
-null spaces, and matrix exponentials.
+"""Symmetric-matrix numerics: eigendecompositions, definiteness classes
+and null spaces.
 
 Everything here operates on plain ``numpy`` arrays.  The helpers that reason
 about the agreement subspace take the network dimensions so they can compare
@@ -47,20 +47,6 @@ class NullSpaceReport:
     equals_consensus: bool
 
 
-def require_symmetric(matrix: NDArray[np.float64], tol: float) -> None:
-    """Raise :class:`ModelError` unless ``matrix``, or each matrix of a
-    ``(k, d, d)`` stack, is square and has no :func:`symmetry_faults`; the
-    first matrix of a stack that has one is named by its index."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
-        raise ModelError(f"matrix must be square, got shape {matrix.shape}")
-    stack = matrix[None] if matrix.ndim == 2 else matrix
-    for index, fault in enumerate(symmetry_faults(stack, tol)):
-        if fault is not None:
-            name = "matrix" if matrix.ndim == 2 else f"matrix {index}"
-            raise ModelError(f"{name} {fault}")
-
-
 def symmetry_faults(stack: NDArray[np.float64], tol: float) -> list[str | None]:
     """For each matrix of a ``(k, d, d)`` stack, None if it is finite and
     symmetric within ``tol`` relative to its magnitude, else its fault,
@@ -91,13 +77,21 @@ def symmetric_eigen(
     """Eigenvalues (ascending) and matching orthonormal eigenvector columns
     of a symmetric matrix, or of each matrix of a ``(k, d, d)`` stack.
 
-    The input is checked for symmetry and symmetrised as ``M/2 + M^T/2``,
+    Raises :class:`ModelError` unless the input is square and has no
+    :func:`symmetry_faults`; the first matrix of a stack that has one is
+    named by its index.  The input is then symmetrised as ``M/2 + M^T/2``,
     which does not overflow, before calling the symmetric solver, so the
     result is deterministic and the reconstruction ``V diag(w) V^T``
     reproduces the input to solver accuracy.
     """
     matrix = np.asarray(matrix, dtype=float)
-    require_symmetric(matrix, tolerances.symmetry)
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+        raise ModelError(f"matrix must be square, got shape {matrix.shape}")
+    stack = matrix[None] if matrix.ndim == 2 else matrix
+    for index, fault in enumerate(symmetry_faults(stack, tolerances.symmetry)):
+        if fault is not None:
+            name = "matrix" if matrix.ndim == 2 else f"matrix {index}"
+            raise ModelError(f"{name} {fault}")
     half = matrix / 2.0
     return np.linalg.eigh(half + np.swapaxes(half, -1, -2))
 
@@ -208,16 +202,3 @@ def null_space_basis(
         residual = float(np.max(np.abs(matrix @ agreement), initial=0.0))
         equals = residual <= threshold
     return NullSpaceReport(basis=basis, dimension=dimension, equals_consensus=equals)
-
-
-def eigen_exponential(
-    values: NDArray[np.float64], vectors: NDArray[np.float64], t: float
-) -> NDArray[np.float64]:
-    """``exp(-M t)`` from the eigensystem ``M = V diag(values) V^T``.
-
-    The result is explicitly symmetrised so that downstream symmetric
-    products remain symmetric to machine precision.
-    """
-    result = (vectors * np.exp(-values * t)) @ vectors.T
-    return (result + result.T) / 2.0
-

@@ -25,12 +25,7 @@ from numpy.typing import NDArray
 
 from .errors import ModelError, as_float, as_index
 from .graphs import Edge, GraphDimensions, MatrixWeightedGraph, WeightMatrix, laplacian
-from .spectral import (
-    Definiteness,
-    classify_definiteness,
-    eigen_exponential,
-    symmetric_eigen,
-)
+from .spectral import Definiteness, classify_definiteness, symmetric_eigen
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -235,8 +230,9 @@ class SwitchingSignal:
         return cached
 
     def segment_exponential(self, k: int) -> NDArray[np.float64]:
-        """``exp(-L_k * dwell_k)`` for segment ``k``, cached per
-        ``(graph, dwell)`` pair within ``EXPONENTIAL_CACHE_BYTES``.
+        """``exp(-L_k * dwell_k)`` for segment ``k``, formed from the
+        segment's eigensystem and symmetrised, cached per ``(graph, dwell)``
+        pair within ``EXPONENTIAL_CACHE_BYTES``.
 
         The cache fills in first-use order and then stops: a pair met once
         it is full is computed on every use.  A periodic walk visits its
@@ -246,7 +242,9 @@ class SwitchingSignal:
         key = self.segments[self._locate(k)[1]]  # (graph, dwell)
         cached = self._exponentials.get(key)
         if cached is None:
-            cached = eigen_exponential(*self.segment_eigensystem(k), key[1])
+            values, vectors = self.segment_eigensystem(k)
+            result = (vectors * np.exp(-values * key[1])) @ vectors.T
+            cached = (result + result.T) / 2.0
             cached.setflags(write=False)
             slots = max(1, EXPONENTIAL_CACHE_BYTES // cached.nbytes)
             if len(self._exponentials) < slots:

@@ -296,6 +296,57 @@ def test_simulate_span_violation_exit_code(fixture_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def _without_run(path, periodic=True):
+    """The demo scenario with no ``run`` section."""
+
+    def strip(data):
+        del data["run"]
+        data["signal"]["periodic"] = periodic
+
+    return str(edit_fixture(path, strip))
+
+
+def _analyze_json(capsys, *argv):
+    assert main(["analyze", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_analyze_of_a_finite_signal_scans_every_segment(fixture_path, capsys):
+    path = _without_run(fixture_path, periodic=False)
+    report = _analyze_json(capsys, path)
+    assert report["verdicts"]["necessary_scan"]["horizon"] == 3
+    assert report == _analyze_json(capsys, path, "--horizon", "3")
+
+
+def test_sufficient_certificate_defaults_to_q_099(fixture_path, capsys):
+    path = _without_run(fixture_path)
+    report = _analyze_json(capsys, path, "--horizon", "8")
+    sufficient = report["verdicts"]["sufficient_certificate"]
+    assert sufficient["decision"] == "consensus"
+    assert sufficient["certificates"][0]["threshold"] == 0.99
+    assert report == _analyze_json(capsys, path, "--horizon", "8", "--q", "0.99")
+
+
+def test_simulate_without_t_end_is_a_scenario_error(fixture_path, capsys):
+    assert main(["simulate", _without_run(fixture_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: run.t_end: required for simulation (or pass --t-end)\n"
+    )
+
+
+def test_simulate_samples_every_0_1_by_default(fixture_path, tmp_path):
+    path = _without_run(fixture_path)
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert main(["simulate", path, "--t-end", "1", "--out", str(default)]) == 0
+    assert main(
+        ["simulate", path, "--t-end", "1", "--sample-dt", "0.1", "--out", str(explicit)]
+    ) == 0
+    rows = default.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows[::4]][:3] == ["0.0", "0.1", "0.2"]
+    assert len(rows) == 11 * 4
+    assert default.read_bytes() == explicit.read_bytes()
+
+
 def test_analyze_scans_the_windows_once(fixture_path, monkeypatch, capsys):
     """The sufficient certificate reuses the necessary scan's windows, so an
     ``analyze`` run makes no more window tests than one scan plus the
@@ -514,6 +565,27 @@ def test_csv_writer_matches_the_per_cell_reference(n, d):
     _write_csv(actual, trajectory)
     assert actual.getvalue() == expected.getvalue()
     assert "-0.0" in actual.getvalue() and "5e-324" in actual.getvalue()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_states_of_another_dtype_are_written_as_float64(dtype):
+    """A trajectory holds its arrays as float64: float32 states would be
+    looked up by half-width bit patterns, and int64 ones written as ``1``,
+    not as the float's ``repr``."""
+
+    def written(states_dtype):
+        trajectory = Trajectory(
+            dims=GraphDimensions(2, 1),
+            times=np.arange(2.0),
+            states=np.ones((2, 2), states_dtype),
+            consensus_point=np.ones(2),
+        )
+        stream = io.StringIO()
+        _write_csv(stream, trajectory)
+        return stream.getvalue()
+
+    assert written(dtype) == written(np.float64)
+    assert "0.0,1,1.0,0.0\n" in written(dtype)
 
 
 def _trajectory_of(states, d=1):

@@ -9,6 +9,7 @@ from matconsensus import (
     GraphDimensions,
     MatrixWeightedGraph,
     ModelError,
+    SwitchingSignal,
     classify_definiteness,
     consensus_subspace,
     laplacian,
@@ -16,7 +17,6 @@ from matconsensus import (
     set_edge,
     symmetric_eigen,
 )
-from matconsensus.spectral import eigen_exponential, require_symmetric
 from conftest import LAP_A, LAP_B, LAP_C
 
 
@@ -147,12 +147,12 @@ def test_stacked_symmetry_check_names_the_first_failure():
         with pytest.raises(
             ModelError, match=r"^matrix 1 is not symmetric: max\|M - M\^T\| = inf$"
         ):
-            require_symmetric(stack, 1e-12)
+            symmetric_eigen(stack)
         with pytest.raises(ModelError, match=r"^matrix has non-finite entries"):
-            require_symmetric(stack[2], 1e-12)
+            symmetric_eigen(stack[2])
         with pytest.raises(ModelError, match=r"^matrix is not symmetric: .* = inf$"):
-            require_symmetric(stack[1], 1e-12)
-    require_symmetric(stack[:1], 1e-12)
+            symmetric_eigen(stack[1])
+    symmetric_eigen(stack[:1])
 
 
 def test_consensus_subspace_orthonormal():
@@ -210,41 +210,51 @@ def test_equals_consensus_invariant_under_scaling(scale):
     assert not null_space_basis(scale * LAP_A, dims).equals_consensus
 
 
-def _exponential(matrix, t):
-    """``exp(-M t)`` the way a segment's propagator is built."""
-    return eigen_exponential(*symmetric_eigen(matrix), t)
+def _exponential(graph, t):
+    """``exp(-L t)`` for the graph's Laplacian ``L``, as the propagator of
+    a one-segment signal of dwell ``t``."""
+    signal = SwitchingSignal([graph], [(0, t)], alpha=t, beta=t)
+    return signal.segment_exponential(0)
 
 
 def test_matrix_exponential_two_by_two():
-    result = _exponential(np.diag([0.0, 1.0]), np.log(2.0))
-    assert np.allclose(result, np.diag([1.0, 0.5]), atol=1e-14)
+    """Weight 0.5 between two scalar nodes: Laplacian eigenvalues 0 and 1."""
+    dims = GraphDimensions(n=2, d=1)
+    graph = set_edge(MatrixWeightedGraph(dims), 0, 1, [[0.5]])
+    result = _exponential(graph, np.log(2.0))
+    expected = scipy.linalg.expm(-laplacian(graph) * np.log(2.0))
+    assert np.allclose(expected, [[0.75, 0.25], [0.25, 0.75]], atol=1e-14)
+    assert np.allclose(result, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 2.0])
-def test_matrix_exponential_matches_scaling_and_squaring(t):
+def test_matrix_exponential_matches_scaling_and_squaring(demo_graphs, t):
     """Spectral route vs scipy's Pade/scaling-and-squaring route."""
-    for lap in (LAP_A, LAP_B, LAP_C):
-        ours = _exponential(lap, t)
+    for graph, lap in zip(demo_graphs, (LAP_A, LAP_B, LAP_C)):
+        ours = _exponential(graph, t)
         reference = scipy.linalg.expm(-lap * t)
         assert np.max(np.abs(ours - reference)) <= 1e-10
 
 
 @given(
-
-    t1=st.floats(min_value=0.0, max_value=3.0),
-    t2=st.floats(min_value=0.0, max_value=3.0),
+    t1=st.floats(min_value=0.01, max_value=3.0),
+    t2=st.floats(min_value=0.01, max_value=3.0),
 )
 @settings(max_examples=40, deadline=None)
-def test_matrix_exponential_semigroup(t1, t2):
-    """exp(-M t1) exp(-M t2) == exp(-M (t1+t2)) within 1e-12."""
-    product = _exponential(LAP_A, t1) @ _exponential(LAP_A, t2)
-    direct = _exponential(LAP_A, t1 + t2)
+def test_matrix_exponential_semigroup(demo_graphs, t1, t2):
+    """exp(-L t1) exp(-L t2) == exp(-L (t1+t2)) within 1e-12, and the
+    latter agrees with scipy."""
+    graph = demo_graphs[0]
+    product = _exponential(graph, t1) @ _exponential(graph, t2)
+    direct = _exponential(graph, t1 + t2)
     assert np.max(np.abs(product - direct)) <= 1e-12
+    reference = scipy.linalg.expm(-LAP_A * (t1 + t2))
+    assert np.max(np.abs(direct - reference)) <= 1e-10
 
 
-def test_matrix_exponential_fixes_consensus(dims4x2):
+def test_matrix_exponential_fixes_consensus(demo_graphs, dims4x2):
     basis = consensus_subspace(dims4x2)
-    for lap in (LAP_A, LAP_B, LAP_C):
-        propagator = _exponential(lap, 1.7)
+    for graph, lap in zip(demo_graphs, (LAP_A, LAP_B, LAP_C)):
+        propagator = _exponential(graph, 1.7)
         assert np.allclose(propagator @ basis, basis, atol=1e-12)
-
+        assert np.allclose(propagator, scipy.linalg.expm(-lap * 1.7), atol=1e-10)
