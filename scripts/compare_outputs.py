@@ -18,7 +18,9 @@ stderr and the CSV written by ``--out`` must match.  The list covers:
   ``--oracle -1`` on the demo, and ``--t-end 7`` past the finite demo's end;
 * the seed-0 benchmark scenarios ``periodic-mid``, ``finite-long`` and
   ``periodic-large``: ``validate``, ``analyze``, ``simulate``, and
-  ``simulate --oracle`` up to the benchmark's oracle ``--t-end``;
+  ``simulate --oracle`` up to the benchmark's oracle ``--t-end``, and
+  ``analyze`` as JSON over the partial-period spans ``--span 0.3 17.9`` and
+  ``--span 1.25 250.5``;
 * ``simulate`` of the seed-1 ``periodic-mid``, of the demo from a state
   holding both ``-0.0`` and ``0.0``, and of the demo long past consensus
   (``--t-end 600 --sample-dt 0.01``), whose rows repeat a few values;
@@ -47,6 +49,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scenarios" / "four_agent_periodic.json"
 BENCHMARK_SCENARIOS = ("periodic-mid", "finite-long", "periodic-large")
 TIMEOUT_S = 600
+# spans that start and end inside a period, so that many positions of the
+# segment list are summed with fractional weights
+PARTIAL_SPANS = (("0.3", "17.9"), ("1.25", "250.5"))
 
 
 def _edge(i: int, j: int, weight: list) -> dict:
@@ -142,6 +147,13 @@ def write_scenarios(directory: Path) -> list[tuple[str, list[str]]]:
         invocations += [
             (f"{name} validate", ["validate", path]),
             (f"{name} analyze", ["analyze", path, "--format", "json"]),
+            *(
+                (
+                    f"{name} analyze --span {start} {end}",
+                    ["analyze", path, "--format", "json", "--span", start, end],
+                )
+                for start, end in PARTIAL_SPANS
+            ),
             (f"{name} simulate", ["simulate", path, "--out", "{csv}"]),
             (
                 f"{name} simulate --oracle",

@@ -160,9 +160,11 @@ def null_space_basis(
 
     Eigenvalues at or below ``tolerances.null_space * max(1, lambda_max)``
     count as zero; the verdict is therefore invariant under positive
-    rescaling of the matrix.  Raises :class:`ModelError` on a size
-    mismatch of the matrix or of ``eigensystem``, if an eigenvalue is clearly
-    negative, or if one is beyond the float range.  ``eigensystem`` is the
+    rescaling of the matrix while ``lambda_max >= 1``, and below that the
+    cutoff is the absolute ``tolerances.null_space``.  Raises
+    :class:`ModelError` on a size mismatch of the matrix or of
+    ``eigensystem``, if an eigenvalue is clearly negative, or if one is
+    beyond the float range.  ``eigensystem`` is the
     matrix's :func:`symmetric_eigen` where the caller already has it, so the
     matrix is not decomposed again.
     """

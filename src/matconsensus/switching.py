@@ -260,21 +260,23 @@ def integral_network(
 ) -> tuple[MatrixWeightedGraph, NDArray[np.float64]]:
     """Average the switching network over ``[t_start, t_end)``.
 
-    Returns ``(averaged, avg_laplacian)``.  ``averaged`` is the
-    matrix-weighted graph whose edge weights are the segments' weights
-    averaged over the span; a pair whose averaged block classifies as zero
-    is no edge.  ``avg_laplacian`` is the read-only time average of the
-    segment Laplacians.
+    Returns ``(averaged, avg_laplacian)``.  ``avg_laplacian`` is the
+    read-only time average of the segment Laplacians.  ``averaged`` is the
+    matrix-weighted graph read off it: the weight of pair ``i < j`` is its
+    off-diagonal block negated as ``0.0 - block``, which is the segments'
+    weights averaged over the span with every zero entry ``+0.0``; a pair
+    whose block classifies as zero is no edge.
 
     Each position of the segment list gets its exact total time in the
     span: whole periods times its dwell plus the clamped overlap of the
     partial periods, in rational arithmetic, so the weights sum to one and
     spans aligned with a single segment reproduce that segment's matrices
-    bit-for-bit.  The positions are accumulated once each, in time order
-    from the one active at ``t_start``, so the cost does not grow with the
-    span: where no position recurs in the span this is the segment-by-segment
-    sum, and a recurring position's weight is rounded once.  The averaged
-    blocks are classified together, in one stacked call.
+    value for value; zero entries are ``+0.0``.  The positions are
+    accumulated once each, in time order from the one active at
+    ``t_start``, so the cost does not grow with the span: where no position
+    recurs in the span this is the segment-by-segment sum, and a recurring
+    position's weight is rounded once.  The non-zero blocks are classified
+    together, in one stacked call.
     """
     start = Fraction(as_float(t_start, "span start"))
     end = Fraction(as_float(t_end, "span end"))
@@ -289,7 +291,6 @@ def integral_network(
     start_cycle, start_rest = divmod(start, signal.period_exact)
     end_cycle, end_rest = divmod(end, signal.period_exact)
 
-    blocks: dict[Edge, NDArray[np.float64]] = {}
     avg_lap = np.zeros((signal.dims.stacked, signal.dims.stacked))
     for k in ((first + i) % m for i in range(m)):
         t_k = signal.switch_time_exact(k)
@@ -299,25 +300,20 @@ def integral_network(
             + min(max(end_rest - t_k, 0), dwell)
             - min(max(start_rest - t_k, 0), dwell)
         )
-        if overlap == 0:
-            continue
-        weight = float(overlap / span)
-        graph = signal.graphs[signal.segment_graph_index(k)]
-        for pair, edge_weight in graph.edges.items():
-            if pair in blocks:
-                blocks[pair] = blocks[pair] + weight * edge_weight.entries
-            else:
-                blocks[pair] = weight * edge_weight.entries
-        avg_lap = avg_lap + weight * signal.segment_laplacian(k)
+        if overlap != 0:
+            avg_lap += float(overlap / span) * signal.segment_laplacian(k)
 
-    pairs = sorted(blocks)
+    n, d = signal.dims.n, signal.dims.d
+    blocks = avg_lap.reshape(n, d, n, d).transpose(0, 2, 1, 3)  # block (i, j)
+    rows, cols = np.nonzero(np.triu(blocks.any(axis=(2, 3)), k=1))
     edges: dict[Edge, WeightMatrix] = {}
-    if pairs:
-        stack = np.array([blocks[pair] for pair in pairs])
-        for pair, kind in zip(pairs, classify_definiteness(stack, tolerances)):
+    if len(rows):
+        stack = 0.0 - blocks[rows, cols]  # 0.0 - x: no -0.0 entries
+        stack.setflags(write=False)
+        kinds = classify_definiteness(stack, tolerances)
+        for i, j, entries, kind in zip(rows.tolist(), cols.tolist(), stack, kinds):
             if kind is not Definiteness.ZERO:
-                blocks[pair].setflags(write=False)
-                edges[pair] = WeightMatrix(entries=blocks[pair], definiteness=kind)
+                edges[i, j] = WeightMatrix(entries=entries, definiteness=kind)
 
     avg_lap.setflags(write=False)
     return MatrixWeightedGraph(dims=signal.dims, edges=edges), avg_lap

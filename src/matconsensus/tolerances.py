@@ -2,8 +2,9 @@
 
 All comparisons against these thresholds are made on a relative scale where
 that makes sense: a threshold ``tol`` applied to a matrix ``M`` is interpreted
-as ``tol * max(1, lambda_max(M))`` so that verdicts are invariant under
-positive rescaling while remaining meaningful for matrices of modest norm.
+as ``tol * max(1, lambda_max(M))``.  Verdicts are therefore invariant under
+positive rescaling while ``lambda_max(M) >= 1``; below that the cutoff is the
+absolute ``tol``, so a matrix scaled down far enough reads as zero.
 """
 
 from __future__ import annotations

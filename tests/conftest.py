@@ -5,6 +5,7 @@ Set ``MATCONSENSUS_SEED`` to vary the randomized instances; the default keeps
 the whole suite deterministic.
 """
 
+import importlib.util
 import os
 from pathlib import Path
 
@@ -23,6 +24,18 @@ from matconsensus import (
 SEED = int(os.environ.get("MATCONSENSUS_SEED", "0"))
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def benchmark_scenario(name: str, seed: int) -> dict:
+    """The scenario document of benchmark workload ``name`` for ``seed``,
+    from ``perfbench/generate.py`` loaded by path (``perfbench`` is not a
+    package)."""
+    path = FIXTURE_DIR.parent / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scenario(name, seed)
+
 
 # Frozen 8x8 Laplacians of the three demo graphs (n=4, d=2).  Entries are
 # small integers, so equality checks below are exact.

@@ -155,6 +155,22 @@ def test_analyze_span_drops_zero_slivers(fixture_path, capsys):
     assert [e["nodes"] for e in integral["edges"]] == [[1, 2], [2, 3]]
 
 
+def test_averaged_weights_hold_no_negative_zero(fixture_path, capsys):
+    """G2's edge (3, 4) written with ``-0.0`` entries is echoed as written,
+    while its integral weight, read off the averaged Laplacian, holds
+    ``0.0`` there."""
+
+    def sign_zeros(data):
+        data["graphs"]["G2"][1]["weight"] = [1.0, -0.0, -0.0, 0.0]
+
+    report = _analyze_json(capsys, str(edit_fixture(fixture_path, sign_zeros)))
+    assert json.dumps(report["echo"]["graphs"]["G2"][1]["weight"]) == (
+        "[1.0, -0.0, -0.0, 0.0]"
+    )
+    edges = {tuple(e["nodes"]): e for e in report["integral"]["edges"]}
+    assert json.dumps(edges[(3, 4)]["weight"]) == "[0.5, 0.0, 0.0, 0.0]"
+
+
 def test_analyze_certifies_only_beyond_mu_gap(fixture_path, capsys):
     """The first window contracts to mu = 0.675 <= q = 0.99, but not below
     1 - mu_gap = 0.5, so the sufficient certificate is inconclusive."""

@@ -27,9 +27,10 @@ from matconsensus import (
     Decision,
     HorizonExhausted,
     necessary_condition_scan,
+    parse_scenario,
     periodic_consensus_verdict,
 )
-from conftest import SEED, random_signal, stiff_demo
+from conftest import SEED, benchmark_scenario, random_signal, stiff_demo
 
 # a Mersenne prime: the elimination's products stay Python ints of 122 bits
 PRIME = 2**61 - 1
@@ -138,3 +139,14 @@ def test_closed_windows_of_the_random_instances_are_proven():
         (exhausted,) = [c for c in scan.certificates if isinstance(c, HorizonExhausted)]
         for window in exhausted.windows:
             assert proven_agreement_only(signal, window.start, window.stop), window
+
+
+def test_periodic_mid_verdict_is_proven():
+    """Seed-0 periodic-mid of the benchmark, n = 60 and d = 3: the period's
+    exact rank is ``nd - d = 177``, which proves its CONSENSUS verdict."""
+    scenario = parse_scenario(benchmark_scenario("periodic-mid", 0))
+    signal = scenario.signal
+    exact = integral_laplacian_exact(signal, 0, signal.partitions)
+    assert rank_mod_prime(exact) == 177 == signal.dims.n * signal.dims.d - signal.dims.d
+    verdict = periodic_consensus_verdict(signal, scenario.tolerances)
+    assert verdict.decision is Decision.CONSENSUS

@@ -173,7 +173,8 @@ def test_too_few_partitions_checked_after_dwell_bounds(demo_graphs):
 
 
 def test_integral_network_single_segment_is_exact(demo_graphs, demo_signal):
-    """A span covering exactly one segment reproduces that graph bit for bit."""
+    """A span covering exactly one segment reproduces that graph value for
+    value; zero entries are ``+0.0``."""
     averaged, avg_laplacian = integral_network(demo_signal, 0.0, 2.0)
     graph = demo_graphs[0]
     assert sorted(averaged.edges) == sorted(graph.edges)
@@ -305,15 +306,32 @@ def _random_span(rng, signal):
     return start, min(start + float(rng.uniform(0.01, 1.0)) * length, reach)
 
 
+def _graph_with_signed_zeros(rng, dims):
+    """A random graph; where ``d > 1``, one edge is set to the rank-one
+    weight ``v v^T`` with ``v`` holding a 0 and a negative component, so
+    that it stores ``-0.0`` entries."""
+    graph = random_graph(rng, dims)
+    if dims.d > 1:
+        v = rng.uniform(0.5, 2.0, size=dims.d)
+        v[0], v[-1] = 0.0, -v[-1]
+        i, j = sorted(rng.choice(dims.n, size=2, replace=False).tolist())
+        graph = set_edge(graph, i, j, np.outer(v, v))
+    return graph
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 def test_integral_network_matches_the_segment_walk(rng, periodic):
     """Where no segment-list position recurs in the span, the per-position
-    sum is the segment walk bit for bit; where one recurs it differs from
-    it only by rounding."""
-    exact = close = 0
+    sum is the segment walk value for value; where one recurs it differs
+    from it only by rounding.  Graph weights hold ``-0.0`` entries, and no
+    zero entry of an averaged weight is ``-0.0``."""
+    exact = close = signed = 0
     for _ in range(60):
         dims = GraphDimensions(n=int(rng.integers(2, 5)), d=int(rng.integers(1, 4)))
-        graphs = [random_graph(rng, dims) for _ in range(int(rng.integers(1, 4)))]
+        graphs = [
+            _graph_with_signed_zeros(rng, dims)
+            for _ in range(int(rng.integers(1, 4)))
+        ]
         segments = [
             (int(rng.integers(0, len(graphs))), float(rng.uniform(0.5, 2.0)))
             for _ in range(int(rng.integers(3, 7)))
@@ -323,6 +341,10 @@ def test_integral_network_matches_the_segment_walk(rng, periodic):
             start, end = _random_span(rng, signal)
             averaged, avg_laplacian = integral_network(signal, start, end)
             blocks, reference = _reference_integral_network(signal, start, end)
+            signed += any(np.signbit(b[b == 0]).any() for b in blocks.values())
+            for weight in averaged.edges.values():
+                zeros = weight.entries[weight.entries == 0]
+                assert not np.signbit(zeros).any(), (start, end)
             first = signal.segment_index_at(start)
             visits = len(list(signal.segments_from(first, Fraction(end))))
             if visits <= signal.partitions:
@@ -336,7 +358,7 @@ def test_integral_network_matches_the_segment_walk(rng, periodic):
                 for pair, weight in averaged.edges.items():
                     assert np.allclose(weight.entries, blocks[pair], rtol=1e-12, atol=1e-12)
                 close += 1
-    assert exact > 50
+    assert exact > 50 and signed > 50
     assert close > 50 or not periodic  # a finite signal's positions never recur
 
 
