@@ -24,6 +24,9 @@ stderr and the CSV written by ``--out`` must match.  The list covers:
 * ``simulate`` of the seed-1 ``periodic-mid``, of the demo from a state
   holding both ``-0.0`` and ``0.0``, and of the demo long past consensus
   (``--t-end 600 --sample-dt 0.01``), whose rows repeat a few values;
+* ``simulate --oracle`` of the seed-0 ``periodic-mid`` with ``alpha``
+  0.001, far below its dwells, up to ``--t-end 20``, and of a finite
+  3-node path with 300 dwells of 1e-20 between two of 1.0;
 * the demo as a finite signal through ``simulate --oracle`` up to its end,
   to mid-segment and past its end, and a finite 3,000-segment variant of dwell 0.002
   (two oracle steps a segment);
@@ -113,6 +116,23 @@ FAULTS: dict[str, dict[str, list[dict]]] = {
 }
 
 
+# a finite 3-node path whose 300 dwells of 1e-20 are within rounding of
+# empty: they take no RK4 step, and end no oracle chunk on their own
+SLIVERS = {
+    "dimensions": {"n": 3, "d": 1},
+    "graphs": {"G1": [_edge(1, 2, [1.0]), _edge(2, 3, [1.0])]},
+    "signal": {
+        "segments": [
+            {"graph": "G1", "dwell": dwell} for dwell in [1.0, *[1e-20] * 300, 1.0]
+        ],
+        "periodic": False,
+        "alpha": 1e-20,
+        "beta": 1.0,
+    },
+    "initial_state": [[1.0], [0.0], [-1.0]],
+}
+
+
 def write_scenarios(directory: Path) -> list[tuple[str, list[str]]]:
     """Write every scenario the invocations read; returns ``(label, argv)``
     pairs, with ``{csv}`` standing for the CSV path of ``--out``."""
@@ -162,13 +182,29 @@ def write_scenarios(directory: Path) -> list[tuple[str, list[str]]]:
             ),
         ]
     seed_1 = str(write_scenario("periodic-mid", 1, directory / "seed-1"))
+    low_alpha = json.loads((directory / "periodic-mid.json").read_text())
+    low_alpha["signal"]["alpha"] = 0.001
+    path = directory / "periodic-mid-alpha.json"
+    path.write_text(json.dumps(low_alpha))
     invocations += [
         ("periodic-mid seed 1 simulate", ["simulate", seed_1, "--out", "{csv}"]),
         (
             "demo simulate --t-end 600 --sample-dt 0.01 (converged)",
             [*simulate, "--t-end", "600", "--sample-dt", "0.01"],
         ),
+        (
+            "periodic-mid alpha 0.001 simulate --oracle",
+            ["simulate", str(path), "--out", "{csv}", "--oracle", "--t-end", "20"],
+        ),
     ]
+    path = directory / "slivers.json"
+    path.write_text(json.dumps(SLIVERS))
+    invocations.append(
+        (
+            "slivers simulate --oracle",
+            ["simulate", str(path), "--out", "{csv}", "--oracle", "--t-end", "2"],
+        )
+    )
     base = json.loads(DEMO.read_text())
     zeros = copy.deepcopy(base)
     zeros["initial_state"] = [[-0.0, 0.0], [0.0, -0.0], [-0.0, 1.0], [0.0, -1.0]]

@@ -3,6 +3,11 @@
 import math
 import operator
 
+import numpy as np
+
+# Truth values convert to 0 and 1 but are neither numbers nor integers here.
+_BOOLS = (bool, np.bool_)
+
 
 class ModelError(ValueError):
     """A model or input violation: a weight that is zero, indefinite or
@@ -13,10 +18,11 @@ class ModelError(ValueError):
 
 def as_float(value: object, what: str, *, finite: bool = True) -> float:
     """``value`` as a float; :class:`ModelError` naming ``what`` unless it is
-    a number, and a finite one unless ``finite`` is false."""
+    a number (a boolean is not), and a finite one unless ``finite`` is
+    false."""
     try:
         number = float(value)
-        if not finite or math.isfinite(number):
+        if not isinstance(value, _BOOLS) and (not finite or math.isfinite(number)):
             return number
     except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int
         pass
@@ -25,8 +31,10 @@ def as_float(value: object, what: str, *, finite: bool = True) -> float:
 
 def as_index(value: object, what: str) -> int:
     """``operator.index(value)``; :class:`ModelError` naming ``what`` unless
-    ``value`` is an integer (a float is not, even ``2.0``)."""
+    ``value`` is an integer (a float is not, even ``2.0``, nor a boolean)."""
     try:
-        return operator.index(value)
+        if not isinstance(value, _BOOLS):
+            return operator.index(value)
     except TypeError:
-        raise ModelError(f"{what} {value!r} is not an integer") from None
+        pass
+    raise ModelError(f"{what} {value!r} is not an integer")

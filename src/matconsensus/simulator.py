@@ -23,7 +23,6 @@ import sys
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -416,6 +415,22 @@ def rk4_reference(
     )
 
 
+def _oracle_chunks(
+    signal: SwitchingSignal, t_end: float, step: float
+) -> Iterator[tuple[int, float]]:
+    """``(first, chunk_end)`` per oracle chunk: the whole segments from
+    ``first`` up to the first switch instant by which they take at least
+    ``_BLOCK_ROWS`` steps, counted as ``rk4_reference`` takes them."""
+    first, steps = 0, 0
+    for k, t_k, t_next in signal.segments_from(0, t_end):
+        if steps >= _BLOCK_ROWS:
+            yield first, float(t_k)
+            first, steps = k, 0
+        span = float(min(t_next, t_end)) - float(t_k)
+        steps += max(span > 0.0, span // step)  # a sliver none, others >= 1
+    yield first, t_end
+
+
 def max_oracle_deviation(
     signal: SwitchingSignal, x0: NDArray[np.float64], t_end: float, step: float
 ) -> float:
@@ -423,31 +438,22 @@ def max_oracle_deviation(
     reference, taken over all reference nodes in ``[0, t_end]``.
 
     The whole run's nodes are counted, and refused as ``rk4_reference``
-    refuses them, before any step.  The run is then walked a chunk of
-    ``max(1, ceil(_BLOCK_ROWS * step / alpha))`` whole segments at a time,
-    one for an infinite step: every dwell is at least ``alpha``, so a chunk
-    but the last spans at least ``_BLOCK_ROWS`` steps.  Each chunk is one
-    ``rk4_reference`` call from the chunk's first segment, compared with the
-    exact walker from the same segment in blocks of ``_BLOCK_ROWS`` rows;
-    both walkers start from their own end state of the chunk before, which
-    gives the nodes and the states of one whole-run walk bit for bit.  Only
-    one chunk's nodes are held.  A NaN gap anywhere makes the result NaN.
+    refuses them, before any step.  The run is then walked a chunk of whole
+    segments at a time: a chunk ends at the first switch instant by which
+    its segments take at least ``_BLOCK_ROWS`` steps (a segment within
+    rounding of empty takes none, one with an infinite step takes one), and
+    the last chunk ends at ``t_end``.  Each chunk is one ``rk4_reference``
+    call from the chunk's first segment, compared with the exact walker
+    from the same segment in blocks of ``_BLOCK_ROWS`` rows; both walkers
+    start from their own end state of the chunk before, which gives the
+    nodes and the states of one whole-run walk bit for bit.  Only one
+    chunk's nodes are held.  A NaN gap anywhere makes the result NaN.
     """
     # the count comes first; the whole run's array is dropped unused
     t_end, step, x0 = _reference_nodes(signal, x0, t_end, step)[:3]
-    per_chunk = (
-        max(1, math.ceil(Fraction(step) * _BLOCK_ROWS / Fraction(signal.alpha)))
-        if step < math.inf
-        else 1  # an infinite step lands once on each segment's end
-    )
     worst = np.float64(0.0)
-    first, reference_state, exact_state = 0, x0, x0
-    while True:
-        stop_segment = first + per_chunk
-        last = (
-            not signal.periodic and stop_segment >= signal.partitions
-        ) or signal.switch_time_exact(stop_segment) >= t_end
-        chunk_end = t_end if last else float(signal.switch_time_exact(stop_segment))
+    reference_state = exact_state = x0
+    for first, chunk_end in _oracle_chunks(signal, t_end, step):
         reference = rk4_reference(signal, reference_state, chunk_end, step, first=first)
         start = 0
         for block in _exact_states(
@@ -459,7 +465,6 @@ def max_oracle_deviation(
             np.abs(block, out=block)
             worst = np.maximum(worst, np.max(block))  # NaN stays NaN
             start = stop
-        if last:
-            return float(worst)
-        first, reference_state = stop_segment, reference.states[-1].copy()
+        reference_state = reference.states[-1].copy()
         del reference  # this chunk's nodes go before the next chunk's come
+    return float(worst)

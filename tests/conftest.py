@@ -1,12 +1,15 @@
-"""Shared fixtures: the four-node demo network, its frozen Laplacians, and a
-seeded random-instance generator for property suites.
+"""Shared fixtures: the four-node demo network, its frozen Laplacians, a
+seeded random-instance generator for property suites, and the exact integer
+integral Laplacian with its rank mod a prime.
 
 Set ``MATCONSENSUS_SEED`` to vary the randomized instances; the default keeps
 the whole suite deterministic.
 """
 
 import importlib.util
+import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,53 @@ def benchmark_scenario(name: str, seed: int) -> dict:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.scenario(name, seed)
+
+
+# a Mersenne prime: the elimination's products stay Python ints of 122 bits
+PRIME = 2**61 - 1
+
+
+def integral_laplacian_exact(signal, start, stop):
+    """``sum_k dwell_k L_k`` over segments ``start .. stop - 1`` from the
+    exact dwells and edge weights, times the common denominator of its
+    entries: rows of Python ints."""
+    d = signal.dims.d
+    size = signal.dims.n * d
+    total = [[Fraction(0)] * size for _ in range(size)]
+    for k in range(start, stop):
+        dwell = signal.switch_time_exact(k + 1) - signal.switch_time_exact(k)
+        graph = signal.graphs[signal.segment_graph_index(k)]
+        for (i, j), weight in graph.edges.items():
+            for a, row in enumerate(weight.entries.tolist()):
+                for b, entry in enumerate(row):
+                    term = dwell * Fraction(entry)
+                    total[i * d + a][i * d + b] += term
+                    total[j * d + a][j * d + b] += term
+                    total[i * d + a][j * d + b] -= term
+                    total[j * d + a][i * d + b] -= term
+    scale = math.lcm(*(entry.denominator for row in total for entry in row))
+    return [[int(entry * scale) for entry in row] for row in total]
+
+
+def rank_mod_prime(matrix):
+    """Rank of a square integer matrix mod ``PRIME``, by Gaussian
+    elimination."""
+    rows = [[entry % PRIME for entry in row] for row in matrix]
+    rank = 0
+    for column in range(len(rows)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][column]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][column], -1, PRIME)
+        lead = [entry * inverse % PRIME for entry in rows[rank]]
+        rows[rank] = lead
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][column]
+            if factor:
+                rows[r] = [(x - factor * y) % PRIME for x, y in zip(rows[r], lead)]
+        rank += 1
+    return rank
 
 
 # Frozen 8x8 Laplacians of the three demo graphs (n=4, d=2).  Entries are

@@ -455,6 +455,22 @@ def test_bounded_scan_keeps_the_kernels_psd_check():
     assert bounded[1].startswith("matrix has negative eigenvalue")
 
 
+def test_window_bounds_step_aside_when_the_agreement_is_not_annihilated():
+    """``decide`` certifies a window closed only while ``A Q`` is within
+    ``eps`` for the agreement basis ``Q``: ``A = L + 1e-6 I`` has the
+    right number of small eigenvalues and passes the shifted Cholesky test,
+    but its null space is not the agreement subspace, so the bounds step
+    aside (without that premise they called the window closed)."""
+    dims = GraphDimensions(n=3, d=2)
+    path = set_edge(MatrixWeightedGraph(dims), 0, 1, np.eye(2))
+    path = set_edge(path, 1, 2, np.eye(2))
+    signal = SwitchingSignal([path], [(0, 1.0)] * 3, 0.5, 2.0, periodic=True)
+    accumulated = laplacian(path) + 1e-6 * np.eye(dims.stacked)
+    bounds = analysis._WindowBounds(signal, 0, DEFAULT_TOLERANCES)
+    assert bounds.decide(0, accumulated) is None
+    assert not null_space_basis(accumulated, dims).equals_consensus
+
+
 def test_scan_runs_the_kernel_once_when_every_bound_decides(
     demo_graphs, demo_signal, monkeypatch
 ):

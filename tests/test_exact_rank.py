@@ -17,9 +17,6 @@ draw PSD weights as ``factor @ factor.T``, rounded, so many of them are
 exactly full rank where the float classifier rightly calls them PSD.
 """
 
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -30,53 +27,14 @@ from matconsensus import (
     parse_scenario,
     periodic_consensus_verdict,
 )
-from conftest import SEED, benchmark_scenario, random_signal, stiff_demo
-
-# a Mersenne prime: the elimination's products stay Python ints of 122 bits
-PRIME = 2**61 - 1
-
-
-def integral_laplacian_exact(signal, start, stop):
-    """``sum_k dwell_k L_k`` over segments ``start .. stop - 1`` from the
-    exact dwells and edge weights, times the common denominator of its
-    entries: rows of Python ints."""
-    d = signal.dims.d
-    size = signal.dims.n * d
-    total = [[Fraction(0)] * size for _ in range(size)]
-    for k in range(start, stop):
-        dwell = signal.switch_time_exact(k + 1) - signal.switch_time_exact(k)
-        graph = signal.graphs[signal.segment_graph_index(k)]
-        for (i, j), weight in graph.edges.items():
-            for a, row in enumerate(weight.entries.tolist()):
-                for b, entry in enumerate(row):
-                    term = dwell * Fraction(entry)
-                    total[i * d + a][i * d + b] += term
-                    total[j * d + a][j * d + b] += term
-                    total[i * d + a][j * d + b] -= term
-                    total[j * d + a][i * d + b] -= term
-    scale = math.lcm(*(entry.denominator for row in total for entry in row))
-    return [[int(entry * scale) for entry in row] for row in total]
-
-
-def rank_mod_prime(matrix):
-    """Rank of a square integer matrix mod ``PRIME``, by Gaussian
-    elimination."""
-    rows = [[entry % PRIME for entry in row] for row in matrix]
-    rank = 0
-    for column in range(len(rows)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][column]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inverse = pow(rows[rank][column], -1, PRIME)
-        lead = [entry * inverse % PRIME for entry in rows[rank]]
-        rows[rank] = lead
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][column]
-            if factor:
-                rows[r] = [(x - factor * y) % PRIME for x, y in zip(rows[r], lead)]
-        rank += 1
-    return rank
+from conftest import (
+    SEED,
+    benchmark_scenario,
+    integral_laplacian_exact,
+    random_signal,
+    rank_mod_prime,
+    stiff_demo,
+)
 
 
 def proven_agreement_only(signal, start, stop):

@@ -5,7 +5,10 @@ a value's type or scales one edge weight by a power of ten.  Whatever the
 document, ``validate``, ``analyze`` and ``simulate`` must end with a
 documented exit code (0, 1 or 2; 3 too for the ``--oracle`` cross-check)
 and no traceback, a CSV written on success must hold only finite numbers,
-and an oracle deviation must be printed as a float, finite on success.
+and an oracle deviation must be printed as a float, finite on success.  A
+periodic CONSENSUS verdict must be proven by the exact rank of the period's
+integral Laplacian (the other direction is not checked: scaled weights
+from 1e8 up lose the smallest eigenvalues to rounding).
 """
 
 import contextlib
@@ -20,8 +23,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matconsensus import parse_scenario
 from matconsensus.cli import main
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, integral_laplacian_exact, rank_mod_prime
 
 DEMO = json.loads((FIXTURE_DIR / "four_agent_periodic.json").read_text())
 
@@ -136,6 +140,15 @@ def _run(path, command):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_consensus_is_proven(doc):
+    """The period's integer integral Laplacian has rank ``nd - d``: its null
+    space is exactly the agreement subspace."""
+    signal = parse_scenario(doc).signal
+    dims = signal.dims
+    exact = integral_laplacian_exact(signal, 0, signal.partitions)
+    assert rank_mod_prime(exact) == dims.n * dims.d - dims.d
+
+
 # huge inputs overflow on the way to their rejection
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -167,6 +180,8 @@ def test_mutated_scenarios_end_cleanly(mutations):
             oracle = "--oracle" in command
             assert code in ((0, 1, 2, 3) if oracle else (0, 1, 2)), (command, err)
             assert "Traceback" not in err
+            if code == 0 and "verdict periodic: consensus" in out.splitlines():
+                _assert_consensus_is_proven(doc)
             if command[0] == "simulate" and code == 0:
                 rows = out.splitlines()[1:]
                 assert rows

@@ -1,7 +1,8 @@
 """Library inputs that must be numbers or integers: a value of the wrong kind
 is an input violation, refused with ``ModelError`` by one of two rules,
 ``<what> <value!r> is not a finite number`` or ``<what> <value!r> is not
-an integer``, not a ``TypeError`` from a comparison or an index."""
+an integer``, not a ``TypeError`` from a comparison or an index.  A boolean
+is neither, as in the scenario loader."""
 
 import re
 
@@ -39,6 +40,10 @@ from conftest import DEMO_SEGMENTS, X0
             "threshold 'x'",
         ),
         (lambda s: Tolerances(null_space="x"), "null_space 'x'"),
+        (lambda s: Tolerances(null_space=True), "null_space True"),
+        (lambda s: SwitchingSignal(s.graphs, DEMO_SEGMENTS, True, 2.0), "alpha True"),
+        (lambda s: simulate(s, X0, 1.0, False), "sample_dt False"),
+        (lambda s: max_oracle_deviation(s, X0, 1.0, np.True_), "step np.True_"),
     ],
     ids=[
         "alpha-text",
@@ -49,6 +54,10 @@ from conftest import DEMO_SEGMENTS, X0
         "oracle-step-text",
         "threshold-text",
         "tolerance-text",
+        "tolerance-bool",
+        "alpha-bool",
+        "simulate-sample-dt-bool",
+        "oracle-step-numpy-bool",
     ],
 )
 def test_numbers_that_are_not_numbers_are_model_errors(demo_signal, call, message):
@@ -69,6 +78,9 @@ def test_numbers_that_are_not_numbers_are_model_errors(demo_signal, call, messag
         (lambda s: s.switch_time(1.5), "segment index 1.5"),
         (lambda s: transition_matrix(s, 0, 1.5), "stop 1.5"),
         (lambda s: rk4_reference(s, X0, 6.0, 1e-2, first=1.5), "segment index 1.5"),
+        (lambda s: GraphDimensions(2, True), "d True"),
+        (lambda s: necessary_condition_scan(s, True), "horizon True"),
+        (lambda s: s.switch_time(False), "segment index False"),
     ],
     ids=[
         "n-fraction",
@@ -80,6 +92,9 @@ def test_numbers_that_are_not_numbers_are_model_errors(demo_signal, call, messag
         "switch-time",
         "transition-stop",
         "rk4-first",
+        "d-bool",
+        "horizon-bool",
+        "switch-time-bool",
     ],
 )
 def test_integers_that_are_not_integers_are_model_errors(demo_signal, call, message):

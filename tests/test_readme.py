@@ -1,6 +1,8 @@
 """README.md's Library example runs as written, and the values its comments
-promise are the values it computes."""
+promise are the values it computes; the counts it states are the counts of
+the code it describes."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -31,3 +33,15 @@ def test_library_snippet_runs_and_matches_its_comments():
     assert (report.dimension, report.equals_consensus) == (2, True)
     final = namespace["trajectory"].final_state.reshape(3, 2)
     assert np.allclose(final, x0.mean(axis=0), atol=1e-3)
+
+
+def test_invocation_count_matches_the_comparison_script(tmp_path):
+    """The README's count of ``scripts/compare_outputs.py`` invocations is
+    the length of the list the script builds."""
+    path = README.parent / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("_compare_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    match = re.search(r"runs a fixed list of (\d+) CLI\s+invocations", README.read_text())
+    assert match, "no invocation count in the README"
+    assert int(match.group(1)) == len(module.write_scenarios(tmp_path))

@@ -244,11 +244,13 @@ def test_max_oracle_deviation_demo(demo_signal, demo_initial_state):
     assert deviation <= 1e-6
 
 
-def test_an_infinite_oracle_step_is_taken_as_rk4_reference_takes_it(demo_signal):
+def test_an_infinite_oracle_step_is_taken_as_rk4_reference_takes_it(
+    demo_signal, monkeypatch
+):
     """An infinite step lands once on each segment's end, in the oracle as
     in ``rk4_reference``: the demo refuses it as unstable with a
     ``ModelError``, not an ``OverflowError``, and a signal whose Laplacian
-    is zero has no gap."""
+    is zero has no gap, with ``_BLOCK_ROWS`` segments a chunk."""
     for run in (rk4_reference, max_oracle_deviation):
         with pytest.raises(ModelError, match=r"^RK4 step 1\.0 is unstable on segment 0"):
             run(demo_signal, X0, 1.0, math.inf)
@@ -260,6 +262,10 @@ def test_an_infinite_oracle_step_is_taken_as_rk4_reference_takes_it(demo_signal)
     nodes = rk4_reference(still, x0, 4.5, math.inf).times.tolist()
     assert nodes == [0.0, 1.0, 2.0, 3.0, 4.0, 4.5]
     assert max_oracle_deviation(still, x0, 4.5, math.inf) == 0.0
+    deviation, chunks = _recorded_oracle(monkeypatch, still, x0, 600.5, math.inf)
+    assert deviation == 0.0 == _reference_deviation(still, x0, 600.5, math.inf)
+    rows = simulator._BLOCK_ROWS
+    assert chunks == [(0, rows + 1), (rows, rows + 1), (2 * rows, 602 - 2 * rows)]
 
 
 def test_laplacian_fixture_consistency(demo_graphs):
@@ -587,8 +593,8 @@ def _tail_matches(signal, x0, t_end, step, whole, rng):
 
 def _assert_chunked_oracle_matches(monkeypatch, signal, x0, t_end, step):
     """The oracle's deviation equals the whole-run reference's, with its own
-    chunks and with ``_BLOCK_ROWS = 1``: chunks of ``ceil(step / alpha)``
-    segments, one for most steps, compared a row at a time."""
+    chunks and with ``_BLOCK_ROWS = 1``: chunks of one segment each (a
+    sliver joins the segment after it), compared a row at a time."""
     expected = _reference_deviation(signal, x0, t_end, step)
     assert max_oracle_deviation(signal, x0, t_end, step) == expected
     with monkeypatch.context() as patched:
@@ -631,7 +637,7 @@ def test_streamed_oracle_matches_the_reference_bit_for_bit(monkeypatch):
     for index in range(12):
         graphs = [random_graph(rng, dims) for _ in range(2)]
         periodic = index % 3 == 0
-        # 20 to 200 steps of 1e-3 a segment: a chunk is 13 segments
+        # 20 to 200 steps of 1e-3 a segment: a chunk is 2 to 13 segments
         dwells = rng.uniform(0.02, 0.2, size=int(rng.integers(14, 40))).tolist()
         segments = [(int(rng.integers(0, 2)), w) for w in dwells]
         signal = SwitchingSignal(graphs, segments, 0.02, 0.2, periodic=periodic)
@@ -643,6 +649,63 @@ def test_streamed_oracle_matches_the_reference_bit_for_bit(monkeypatch):
         _assert_chunked_oracle_matches(monkeypatch, signal, x0, t_end, 1e-3)
     # whether the float sum rounds past the exact end depends on the draw
     assert past_end >= 1, past_end
+
+
+def _recorded_oracle(monkeypatch, signal, x0, t_end, step):
+    """The oracle's deviation and the ``(first, nodes)`` of each of its
+    ``rk4_reference`` calls, one per chunk."""
+    chunks = []
+    real = simulator.rk4_reference
+
+    def recording(*args, first=0):
+        reference = real(*args, first=first)
+        chunks.append((first, len(reference.times)))
+        return reference
+
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "rk4_reference", recording)
+        deviation = max_oracle_deviation(signal, x0, t_end, step)
+    return deviation, chunks
+
+
+def test_oracle_chunks_are_sized_by_their_steps_not_by_alpha(
+    demo_graphs, monkeypatch
+):
+    """An ``alpha`` far below the dwells does not widen the chunks: with
+    dwells of 0.5 to 2 and ``alpha`` 1e-3, every segment takes at least
+    ``_BLOCK_ROWS`` steps of 1e-3 and is a chunk of its own, so every chunk
+    but the last holds at most ``_BLOCK_ROWS`` plus one segment's nodes (a
+    chunk of ``_BLOCK_ROWS * step / alpha`` segments held the whole run)."""
+    rng = np.random.default_rng(SEED + 14)
+    dwells = rng.uniform(0.5, 2.0, size=10).tolist()
+    segments = [(int(rng.integers(0, 3)), w) for w in dwells]
+    signal = SwitchingSignal(demo_graphs, segments, 1e-3, 2.0, periodic=True)
+    step, t_end = 1e-3, 1.5 * signal.period
+    deviation, chunks = _recorded_oracle(monkeypatch, signal, X0, t_end, step)
+    assert deviation == _reference_deviation(signal, X0, t_end, step)
+    walked = [k for k, _, _ in signal.segments_from(0, t_end)]
+    assert [first for first, _ in chunks] == walked
+    longest = max(math.floor(w / step) + 2 for w in dwells)
+    assert all(nodes <= simulator._BLOCK_ROWS + longest for _, nodes in chunks[:-1])
+
+
+def test_oracle_chunks_count_no_step_in_a_sliver(monkeypatch):
+    """Segments within rounding of empty take no step, so they never end a
+    chunk on their own: 300 dwells of 1e-20 after a whole dwell at 1.0 fall
+    into the last chunk with the dwell after them (counted a step each,
+    256 of them would end a chunk at the float instant 1.0 it starts at,
+    which ``rk4_reference`` refuses)."""
+    dims = GraphDimensions(n=3, d=1)
+    path = set_edge(MatrixWeightedGraph(dims), 0, 1, [[1.0]])
+    path = set_edge(path, 1, 2, [[1.0]])
+    segments = [(0, 1.0)] + [(0, 1e-20)] * 300 + [(0, 1.0)]
+    signal = SwitchingSignal([path], segments, alpha=1e-20, beta=1.0)
+    x0 = np.array([1.0, 0.0, -1.0])
+    t_end = signal.total_duration
+    deviation, chunks = _recorded_oracle(monkeypatch, signal, x0, t_end, 1e-3)
+    assert deviation == 1.2101430968414206e-13
+    assert deviation == _reference_deviation(signal, x0, t_end, 1e-3)
+    assert chunks == [(0, 1001), (1, 1001)]
 
 
 def _near_duplicate_times(rng, signal, t_end):
